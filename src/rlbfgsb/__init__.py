@@ -35,7 +35,6 @@ from .geometry import (
     SpecialOrthogonal,
     Sphere,
     Stiefel,
-    clamp_to_box,
 )
 from .linesearch import LineSearchConfig, LineSearchError, armijo_capped
 from .memory import LbfgsMemory, MemoryPair, SingularMiddleMatrix, make_pair
@@ -93,7 +92,6 @@ __all__ = [
     "Termination",
     "armijo_capped",
     "bss_problem",
-    "clamp_to_box",
     "compute_breakpoints",
     "cpc_problem",
     "euclidean_suite",

@@ -15,7 +15,6 @@ import numpy as np
 
 from .geometry import ProductPoint
 from .problems import Problem
-from .solver import projected_gradient_norm
 
 __all__ = ["projected_gradient"]
 
@@ -62,8 +61,3 @@ def projected_gradient(
         if not accepted:
             break
     return p, f, it
-
-
-def final_pg_norm(problem: Problem, p: ProductPoint) -> float:
-    """Projected gradient norm at ``p`` (post-hoc diagnostic)."""
-    return projected_gradient_norm(problem.geometry, p, problem.gradient(p))

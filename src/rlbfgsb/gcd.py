@@ -124,11 +124,14 @@ def surrogate_init(
 ) -> SegmentState:
     """Start-of-path coefficient vectors for the segment walk."""
     mu = mem.size
+    if not mu:  # a memory that never stored a pair does not know the tangent width
+        return SegmentState(*(np.zeros(0) for _ in range(4)))
+    v = geom.pack(d)
     return SegmentState(
         c_y=np.zeros(mu),
         c_s=np.zeros(mu),
-        p_y=mem.coeff_y(geom, p, d),
-        p_s=mem.coeff_s(geom, p, d),
+        p_y=mem.Y @ v,
+        p_s=mem.theta * (mem.S @ v),
     )
 
 
@@ -149,9 +152,8 @@ def segment_values(
     """
     state.c_y += dt * state.p_y
     state.c_s += dt * state.p_s
-    xi_y = mem.box_components_y(b)
-    xi_s = mem.box_components_s(b)
     theta = mem.theta
+    xi_y, xi_s = (mem.Y[:, b], theta * mem.S[:, b]) if mem.size else (np.zeros(0),) * 2
     v1 = theta * t * d_b - mem.m_bilinear(xi_y, xi_s, state.c_y, state.c_s)
     v2 = theta * d_b - mem.m_bilinear(xi_y, xi_s, state.p_y, state.p_s)
     state.p_y -= d_b * xi_y

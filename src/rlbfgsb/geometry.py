@@ -19,6 +19,10 @@ The box factor is flat: retraction is translation and transport is the
 identity.  :meth:`Geometry.project_tangent_cone` zeroes tangent components
 that point out of the feasible box at active bounds, leaving the manifold
 part untouched.
+
+Every metric is the embedded Euclidean one, so a tangent is also one flat
+array: :meth:`Geometry.pack` lays out the box coordinates, then the raveled
+manifold part.  No other module relies on that layout beyond the box part.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "Sphere",
     "SpecialOrthogonal",
     "Stiefel",
-    "clamp_to_box",
 ]
 
 
@@ -106,18 +109,13 @@ class BoxBounds:
         return BoxBounds(np.zeros(0), np.zeros(0))
 
 
-def clamp_to_box(bounds: BoxBounds, x: np.ndarray) -> np.ndarray:
-    """Project a vector onto the box (used for feasible initialization)."""
-    return bounds.clamp(x)
-
-
 # ---------------------------------------------------------------------------
 # Points and tangent vectors on the product
 
 
 @dataclass
-class ProductPoint:
-    """A point ``(x_D, p_M)``: box coordinates plus an optional manifold part."""
+class _ProductArrays:
+    """One array per factor: box coordinates plus an optional manifold part."""
 
     euclidean: np.ndarray
     manifold: np.ndarray | None = None
@@ -127,26 +125,19 @@ class ProductPoint:
         if self.manifold is not None:
             self.manifold = np.asarray(self.manifold, dtype=float)
 
-    def copy(self) -> "ProductPoint":
+    def copy(self):
         m = None if self.manifold is None else self.manifold.copy()
-        return ProductPoint(self.euclidean.copy(), m)
+        return type(self)(self.euclidean.copy(), m)
 
 
 @dataclass
-class ProductTangent:
+class ProductPoint(_ProductArrays):
+    """A point ``(x_D, p_M)``: box coordinates plus an optional manifold part."""
+
+
+@dataclass
+class ProductTangent(_ProductArrays):
     """A tangent vector ``(v_D, X_M)`` at some product point."""
-
-    euclidean: np.ndarray
-    manifold: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.euclidean = np.atleast_1d(np.asarray(self.euclidean, dtype=float))
-        if self.manifold is not None:
-            self.manifold = np.asarray(self.manifold, dtype=float)
-
-    def copy(self) -> "ProductTangent":
-        m = None if self.manifold is None else self.manifold.copy()
-        return ProductTangent(self.euclidean.copy(), m)
 
     def __add__(self, other: "ProductTangent") -> "ProductTangent":
         m = None
@@ -183,21 +174,22 @@ def _qf(a: np.ndarray) -> np.ndarray:
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 class Manifold:
     """Operations a manifold factor must supply to the product geometry.
 
-    The metric is the one induced by the Euclidean embedding, so ``inner``
-    is the plain (Frobenius) dot product for every concrete manifold here.
+    Points and tangents are arrays of shape :attr:`shape`.  The metric is the
+    one induced by the Euclidean embedding (the plain Frobenius dot product),
+    so the product geometry evaluates it itself.  ``transport`` and
+    ``project_tangent`` also accept tangents with leading batch axes.
     """
 
     #: Conservative bound on the usable step length (injectivity radius).
     max_stepsize: float = np.inf
-
-    def inner(self, p: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.sum(x * y))
+    #: Array shape of a point or tangent vector.
+    shape: tuple[int, ...] = ()
 
     def retract(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -233,6 +225,7 @@ class Sphere(Manifold):
         if ambient_dim < 2:
             raise ValueError("sphere needs ambient dimension >= 2")
         self.ambient_dim = int(ambient_dim)
+        self.shape = (self.ambient_dim,)
 
     def retract(self, p, x):
         theta = float(np.linalg.norm(x))
@@ -256,11 +249,10 @@ class Sphere(Manifold):
         if theta == 0.0:
             return v.copy()
         u = x / theta
-        uv = float(np.dot(u, v))
-        return v + uv * ((math.cos(theta) - 1.0) * u - math.sin(theta) * p)
+        return v + np.multiply.outer(v @ u, (math.cos(theta) - 1.0) * u - math.sin(theta) * p)
 
     def project_tangent(self, p, v):
-        return v - float(np.dot(p, v)) * p
+        return v - np.multiply.outer(v @ p, p)
 
     def membership_residual(self, p):
         return abs(float(np.linalg.norm(p)) - 1.0)
@@ -336,6 +328,7 @@ class Stiefel(Manifold):
             raise ValueError("Stiefel(k, r) requires 1 <= k <= r")
         self.k = int(k)
         self.r = int(r)
+        self.shape = (self.k, self.r)
 
     def retract(self, p, x):
         return _qf((p + x).T).T
@@ -422,7 +415,7 @@ class Geometry:
         self._check_tangent(y)
         val = float(np.dot(x.euclidean, y.euclidean))
         if self.manifold is not None:
-            val += self.manifold.inner(p.manifold, x.manifold, y.manifold)
+            val += float(np.sum(x.manifold * y.manifold))
         return val
 
     def norm(self, p: ProductPoint, x: ProductTangent) -> float:
@@ -458,11 +451,9 @@ class Geometry:
     ) -> ProductTangent:
         """Carry ``v`` from ``T_p`` to the tangent space at ``retract(p, x)``."""
         self._check_tangent(x)
-        self._check_tangent(v)
-        m = None
-        if self.manifold is not None:
-            m = self.manifold.transport(p.manifold, x.manifold, v.manifold)
-        return ProductTangent(v.euclidean.copy(), m)
+        packed = self.pack(v)
+        self.transport_packed(p, x, packed)
+        return self.unpack(packed)
 
     def project_tangent_cone(self, p: ProductPoint, x: ProductTangent) -> ProductTangent:
         """Zero box components pointing out of the feasible set at active bounds."""
@@ -479,6 +470,31 @@ class Geometry:
     def max_stepsize(self, p: ProductPoint | None = None) -> float:
         """Largest safe step along any direction (minimum over the factors)."""
         return np.inf if self.manifold is None else float(self.manifold.max_stepsize)
+
+    # -- packed tangents
+
+    def pack(self, x: ProductTangent) -> np.ndarray:
+        """One flat vector: the box coordinates, then the raveled manifold part."""
+        self._check_tangent(x)
+        parts = [x.euclidean] if x.manifold is None else [x.euclidean, x.manifold.ravel()]
+        return np.concatenate(parts)
+
+    def unpack(self, v: np.ndarray) -> ProductTangent:
+        """Inverse of :meth:`pack`; the parts are views into ``v``."""
+        n = self.box.n
+        m = None if self.manifold is None else v[n:].reshape(self.manifold.shape)
+        return ProductTangent(v[:n], m)
+
+    def transport_packed(self, p: ProductPoint, x: ProductTangent, rows: np.ndarray) -> None:
+        """In place, carry the packed tangents ``rows[..., :]`` to ``retract(p, x)``.
+
+        Box columns stay; the manifold parts of all rows move in one batched call.
+        """
+        if self.manifold is not None:
+            part = rows[..., self.box.n :]
+            batch = part.reshape(part.shape[:-1] + self.manifold.shape)
+            moved = self.manifold.transport(p.manifold, x.manifold, batch)
+            part[...] = moved.reshape(part.shape)
 
     # -- constructors and checks
 

@@ -1,9 +1,9 @@
-"""Limited-memory BFGS operator in compact form over product tangent spaces.
+"""Limited-memory BFGS operator in compact form over packed product tangents.
 
 The Hessian approximation is never materialized.  It is represented by up to
 ``capacity`` stored pairs ``(s_i, y_i)`` (step and gradient difference, both
-expressed in the tangent space of the current iterate), a positive scaling
-``theta``, and a small ``2 mu x 2 mu`` "middle matrix" ``M``:
+tangent at the current iterate), a positive scaling ``theta``, and a small
+``2 mu x 2 mu`` "middle matrix" ``M``:
 
     <X, H[Y]> = theta <X, Y> - [Wy(X); Ws(X)]^T  M  [Wy(Y); Ws(Y)]
 
@@ -13,15 +13,22 @@ with coefficient maps ``Wy(X)_i = <y_i, X>`` and ``Ws(X)_i = theta <s_i, X>``.
 lower triangular part of ``[<s_i, y_j>]``.  The inverse is assembled from a
 single factorization of the Schur complement ``Q + L D^{-1} L^T``.
 
+The pairs are the rows of two ``(mu, N)`` arrays ``S`` and ``Y`` of packed
+tangents (:meth:`Geometry.pack`), oldest first.  The Gram blocks are
+``S S^T`` and ``S Y^T``, the coefficients of ``X`` are ``Y pack(X)`` and
+``theta S pack(X)``, and those of the box basis vector ``e_b`` are the
+columns ``Y[:, b]`` and ``theta S[:, b]``.
+
 The inverse operator ``B = H^{-1}`` is applied with the classical two-loop
 recursion seeded with ``(1/theta) Id``; by the standard duality of the BFGS
 and inverse-BFGS updates the two representations are exact inverses of each
 other, which the test-suite checks against dense oracles.
 
-Between outer iterations every stored pair is carried to the new tangent
-space by the geometry's vector transport; pairs whose curvature
-``<s, y> >= eps ||y||^2`` is destroyed by the transport are discarded, which
-keeps the operator positive definite.
+Between outer iterations the pairs are carried to the new tangent space by
+vector transport.  Box transport is the identity, so on a pure box geometry
+this does nothing; with a manifold, the manifold columns of all ``2 mu`` rows
+move in one batched call.  Pairs whose curvature ``<s, y> >= eps ||y||^2`` the
+transport destroys are discarded, which keeps the operator positive definite.
 """
 
 from __future__ import annotations
@@ -42,9 +49,9 @@ class SingularMiddleMatrix(RuntimeError):
     """Middle-matrix factorization failed; the caller should reset the memory."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryPair:
-    """One stored update pair, tangent at the current iterate."""
+    """A copy of one stored update pair, tangent at the current iterate."""
 
     s: ProductTangent
     y: ProductTangent
@@ -57,16 +64,15 @@ def make_pair(
     step: ProductTangent,
     grad_old: ProductTangent,
     grad_new: ProductTangent,
-    beta: float = 1.0,
 ) -> tuple[ProductTangent, ProductTangent]:
     """Build the update pair for the step ``retract(p_old, step)``.
 
-    Returns ``s = T(step)`` and ``y = grad_new / beta - T(grad_old)`` where
-    ``T`` transports from ``p_old`` along ``step``; both are tangent at the
-    new point.  ``grad_new`` must already live there.
+    Returns ``s = T(step)`` and ``y = grad_new - T(grad_old)`` where ``T``
+    transports from ``p_old`` along ``step``; both are tangent at the new
+    point.  ``grad_new`` must already live there.
     """
     s = geom.transport(p_old, step, step)
-    y = (1.0 / beta) * grad_new - geom.transport(p_old, step, grad_old)
+    y = grad_new - geom.transport(p_old, step, grad_old)
     return s, y
 
 
@@ -80,25 +86,52 @@ class LbfgsMemory:
             raise ValueError("curvature_eps must be positive")
         self.capacity = int(capacity)
         self.curvature_eps = float(curvature_eps)
-        self.pairs: list[MemoryPair] = []
         self.theta = 1.0
+        self._geom: Geometry | None = None
+        # _rows[i] is the pair (s_i, y_i); the first _size rows are live.
+        self._rows = np.zeros((self.capacity, 2, 0))
+        self._sy = np.zeros(self.capacity)
+        self._size = 0
         self._middle = np.zeros((0, 0))
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return self._size
+
+    @property
+    def S(self) -> np.ndarray:
+        """Stored steps as packed rows, oldest first (a view)."""
+        return self._rows[: self._size, 0]
+
+    @property
+    def Y(self) -> np.ndarray:
+        """Stored gradient differences as packed rows, oldest first (a view)."""
+        return self._rows[: self._size, 1]
+
+    @property
+    def sy(self) -> np.ndarray:
+        """Curvatures ``<s_i, y_i>`` (a view)."""
+        return self._sy[: self._size]
+
+    @property
+    def pairs(self) -> list[MemoryPair]:
+        """Copies of the stored pairs as product tangents, oldest first."""
+        return [
+            MemoryPair(self._geom.unpack(s.copy()), self._geom.unpack(y.copy()), float(sy))
+            for s, y, sy in zip(self.S, self.Y, self.sy)
+        ]
 
     def reset(self) -> None:
         """Drop all pairs and fall back to the identity scaling."""
-        self.pairs.clear()
+        self._size = 0
         self.theta = 1.0
         self._middle = np.zeros((0, 0))
 
     # ------------------------------------------------------------------
     # Updates
 
-    def _passes_curvature(self, sy: float, yy: float) -> bool:
-        return yy > 0.0 and sy >= self.curvature_eps * yy
+    def _passes_curvature(self, sy, yy):
+        return (yy > 0.0) & (sy >= self.curvature_eps * yy)
 
     def push(
         self, geom: Geometry, p: ProductPoint, s: ProductTangent, y: ProductTangent
@@ -109,15 +142,24 @@ class LbfgsMemory:
         scaling becomes ``<y, y> / <s, y>`` of the new pair, and the middle
         matrix is reassembled.
         """
-        sy = geom.inner(p, s, y)
-        yy = geom.inner(p, y, y)
+        sv, yv = geom.pack(s), geom.pack(y)
+        sy, yy = float(sv @ yv), float(yv @ yv)
         if not self._passes_curvature(sy, yy):
             return False
-        if len(self.pairs) == self.capacity:
-            self.pairs.pop(0)
-        self.pairs.append(MemoryPair(s.copy(), y.copy(), sy))
+        if self._rows.shape[2] != sv.size:
+            self._rows = np.zeros((self.capacity, 2, sv.size))
+            self._size = 0
+        self._geom = geom
+        if self._size == self.capacity:
+            for i in range(self.capacity - 1):  # disjoint rows: no temporary copy
+                self._rows[i] = self._rows[i + 1]
+            self._sy = np.roll(self._sy, -1)
+            self._size -= 1
+        self._rows[self._size] = sv, yv
+        self._sy[self._size] = sy
+        self._size += 1
         self.theta = yy / sy
-        self._refresh_middle(geom, p)
+        self._refresh_middle()
         return True
 
     def transport(self, geom: Geometry, p_old: ProductPoint, step: ProductTangent) -> int:
@@ -125,48 +167,35 @@ class LbfgsMemory:
 
         Pairs whose curvature the transport destroys are discarded; returns
         how many were dropped.  Scaling and middle matrix are refreshed from
-        the survivors.
+        the survivors.  Box transport is the identity, so without a manifold
+        nothing changes.
         """
-        if not self.pairs:
+        if not self._size or geom.manifold is None:
             return 0
-        p_new = geom.retract(p_old, step)
-        survivors: list[MemoryPair] = []
-        for pair in self.pairs:
-            s = geom.transport(p_old, step, pair.s)
-            y = geom.transport(p_old, step, pair.y)
-            sy = geom.inner(p_new, s, y)
-            yy = geom.inner(p_new, y, y)
-            if self._passes_curvature(sy, yy):
-                survivors.append(MemoryPair(s, y, sy))
-        discarded = len(self.pairs) - len(survivors)
-        self.pairs = survivors
-        if survivors:
-            last = survivors[-1]
-            self.theta = geom.inner(p_new, last.y, last.y) / last.sy
-        else:
-            self.theta = 1.0
-        self._refresh_middle(geom, p_new)
-        return discarded
+        geom.transport_packed(p_old, step, self._rows[: self._size])
+        S, Y = self.S, self.Y
+        sy = np.einsum("ij,ij->i", S, Y)
+        yy = np.einsum("ij,ij->i", Y, Y)
+        keep = np.flatnonzero(self._passes_curvature(sy, yy))
+        dropped = self._size - keep.size
+        if dropped:
+            self._rows[: keep.size] = self._rows[keep]
+        self._size = keep.size
+        self._sy[: keep.size] = sy[keep]
+        self.theta = float(yy[keep[-1]] / sy[keep[-1]]) if keep.size else 1.0
+        self._refresh_middle()
+        return dropped
 
     # ------------------------------------------------------------------
     # Compact representation
 
-    def _refresh_middle(self, geom: Geometry, p: ProductPoint) -> None:
-        mu = len(self.pairs)
-        if mu == 0:
+    def _refresh_middle(self) -> None:
+        if self._size == 0:
             self._middle = np.zeros((0, 0))
             return
-        d = np.array([pair.sy for pair in self.pairs])
-        s_inner = np.empty((mu, mu))
-        sy_inner = np.empty((mu, mu))
-        for i, pi in enumerate(self.pairs):
-            for j, pj in enumerate(self.pairs):
-                if j <= i:
-                    s_inner[i, j] = geom.inner(p, pi.s, pj.s)
-                    s_inner[j, i] = s_inner[i, j]
-                sy_inner[i, j] = geom.inner(p, pi.s, pj.y)
-        q = self.theta * s_inner
-        low = np.tril(sy_inner, -1)
+        S, Y, d = self.S, self.Y, self.sy
+        q = self.theta * (S @ S.T)
+        low = np.tril(S @ Y.T, -1)
 
         # Inverse of [[-D, L^T], [L, Q]] from one factorization of the Schur
         # complement Q + L D^{-1} L^T.
@@ -186,53 +215,25 @@ class LbfgsMemory:
         """The ``2 mu x 2 mu`` inverse block matrix (a copy)."""
         return self._middle.copy()
 
-    def coeff_y(self, geom: Geometry, p: ProductPoint, x: ProductTangent) -> np.ndarray:
-        """Coefficients ``<y_i, x>`` of ``x`` against the stored gradients."""
-        return np.array([geom.inner(p, pair.y, x) for pair in self.pairs])
-
-    def coeff_s(self, geom: Geometry, p: ProductPoint, x: ProductTangent) -> np.ndarray:
-        """Coefficients ``theta <s_i, x>`` of ``x`` against the stored steps."""
-        return self.theta * np.array([geom.inner(p, pair.s, x) for pair in self.pairs])
-
-    def box_components_y(self, b: int) -> np.ndarray:
-        """The ``b``-th box coordinate of every stored ``y`` (= ``coeff_y(e_b)``)."""
-        return np.array([pair.y.euclidean[b] for pair in self.pairs])
-
-    def box_components_s(self, b: int) -> np.ndarray:
-        """``theta`` times the ``b``-th box coordinate of every stored ``s``."""
-        return self.theta * np.array([pair.s.euclidean[b] for pair in self.pairs])
-
     def m_bilinear(
         self, ay: np.ndarray, as_: np.ndarray, by: np.ndarray, bs: np.ndarray
     ) -> float:
         """Evaluate ``[ay; as]^T M [by; bs]`` against the middle matrix."""
-        if not self.pairs:
-            return 0.0
         left = np.concatenate([ay, as_])
         right = np.concatenate([by, bs])
         return float(left @ self._middle @ right)
-
-    def quad_form(
-        self,
-        xi: float,
-        cy_x: np.ndarray,
-        cs_x: np.ndarray,
-        cy_y: np.ndarray,
-        cs_y: np.ndarray,
-    ) -> float:
-        """``theta * xi`` minus the middle-matrix coupling of the coefficients."""
-        return self.theta * xi - self.m_bilinear(cy_x, cs_x, cy_y, cs_y)
 
     def pairing(
         self, geom: Geometry, p: ProductPoint, x: ProductTangent, y: ProductTangent
     ) -> float:
         """The Hessian-form value ``<x, H[y]>``; symmetric in its arguments."""
-        return self.quad_form(
-            geom.inner(p, x, y),
-            self.coeff_y(geom, p, x),
-            self.coeff_s(geom, p, x),
-            self.coeff_y(geom, p, y),
-            self.coeff_s(geom, p, y),
+        xv, yv = geom.pack(x), geom.pack(y)
+        value = self.theta * float(xv @ yv)
+        if not self._size:
+            return value
+        S, Y = self.S, self.Y
+        return value - self.m_bilinear(
+            Y @ xv, self.theta * (S @ xv), Y @ yv, self.theta * (S @ yv)
         )
 
     def basis_diag(self, b: int, n: int | None = None) -> float:
@@ -241,8 +242,10 @@ class LbfgsMemory:
             raise IndexError(f"box coordinate {b} out of range [0, {n})")
         if b < 0:
             raise IndexError("box coordinate must be nonnegative")
-        xi_y = self.box_components_y(b)
-        xi_s = self.box_components_s(b)
+        if not self._size:
+            return self.theta
+        xi_y = self.Y[:, b]
+        xi_s = self.theta * self.S[:, b]
         return self.theta - self.m_bilinear(xi_y, xi_s, xi_y, xi_s)
 
     # ------------------------------------------------------------------
@@ -261,48 +264,32 @@ class LbfgsMemory:
         for free ones) the recursion runs within the tangent space of the
         active boundary face: masked-out components of ``x`` and of every
         stored pair are treated as zero, pairs whose curvature does not
-        survive the restriction are skipped, and the scaling is taken from
-        the newest surviving pair.  This keeps the operator positive
-        definite on the face, so the result is a descent direction there
-        whenever ``x`` is the projected negative gradient.
+        survive on the face are skipped, and the scaling is taken from
+        the newest surviving pair (1 when none survives).  This keeps the
+        operator positive definite on the face, so the result is a descent
+        direction there whenever ``x`` is the projected negative gradient.
+        Without a mask every coordinate is free.
         """
-        if free_mask is None or bool(np.all(free_mask)):
-            q = x.copy()
-            alphas: list[float] = []
-            for pair in reversed(self.pairs):
-                a = geom.inner(p, pair.s, q) / pair.sy
-                alphas.append(a)
-                q = q - a * pair.y
-            r = (1.0 / self.theta) * q
-            for pair, a in zip(self.pairs, reversed(alphas)):
-                bcoef = geom.inner(p, pair.y, r) / pair.sy
-                r = r + (a - bcoef) * pair.s
-            return r
+        v = geom.pack(x)
+        w = np.ones(v.size)
+        if free_mask is not None:
+            w[: geom.box.n] = free_mask
+        q = w * v
+        if not self._size:
+            return geom.unpack((1.0 / self.theta) * q)
+        S, Y = self.S, self.Y
+        sy = np.einsum("ij,ij,j->i", S, Y, w)
+        yy = np.einsum("ij,ij,j->i", Y, Y, w)
+        usable = np.flatnonzero(self._passes_curvature(sy, yy))
+        theta = yy[usable[-1]] / sy[usable[-1]] if usable.size else 1.0
 
-        def restrict(t: ProductTangent) -> ProductTangent:
-            eu = t.euclidean.copy()
-            eu[~free_mask] = 0.0
-            m = None if t.manifold is None else t.manifold.copy()
-            return ProductTangent(eu, m)
-
-        usable: list[tuple[ProductTangent, ProductTangent, float]] = []
-        theta = 1.0
-        for pair in self.pairs:
-            s = restrict(pair.s)
-            y = restrict(pair.y)
-            sy = geom.inner(p, s, y)
-            yy = geom.inner(p, y, y)
-            if self._passes_curvature(sy, yy):
-                usable.append((s, y, sy))
-                theta = yy / sy
-        q = restrict(x)
-        alphas = []
-        for s, y, sy in reversed(usable):
-            a = geom.inner(p, s, q) / sy
-            alphas.append(a)
-            q = q - a * y
+        alphas = np.empty(self._size)
+        for i in usable[::-1]:
+            alphas[i] = (S[i] @ q) / sy[i]
+            q -= alphas[i] * Y[i]
+            q *= w
         r = (1.0 / theta) * q
-        for (s, y, sy), a in zip(usable, reversed(alphas)):
-            bcoef = geom.inner(p, y, r) / sy
-            r = r + (a - bcoef) * s
-        return restrict(r)
+        for i in usable:
+            r += (alphas[i] - (Y[i] @ r) / sy[i]) * S[i]
+            r *= w
+        return geom.unpack(r)

@@ -211,7 +211,7 @@ def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepRe
 
     try:
         state.memory.transport(geom, state.point, step_vec)
-        s, y = make_pair(geom, state.point, step_vec, state.grad, grad_new, beta=1.0)
+        s, y = make_pair(geom, state.point, step_vec, state.grad, grad_new)
         state.memory.push(geom, p_new, s, y)
     except SingularMiddleMatrix:
         state.memory.reset()

@@ -94,8 +94,8 @@ class TestSurrogateInit:
         mem = fill_memory(geom, p, rng, pushes=3)
         d = geom.random_tangent(p, rng)
         state = surrogate_init(mem, geom, p, d)
-        assert_allclose(state.p_y, mem.coeff_y(geom, p, d))
-        assert_allclose(state.p_s, mem.coeff_s(geom, p, d))
+        assert_allclose(state.p_y, [geom.inner(p, pr.y, d) for pr in mem.pairs])
+        assert_allclose(state.p_s, [mem.theta * geom.inner(p, pr.s, d) for pr in mem.pairs])
 
 
 def _walk_segments(geom, p, grad, d, mem):

@@ -17,7 +17,6 @@ from rlbfgsb import (
     SpecialOrthogonal,
     Sphere,
     Stiefel,
-    clamp_to_box,
 )
 
 
@@ -38,9 +37,9 @@ class TestBoxBounds:
 
     def test_clamp(self):
         b = BoxBounds(np.array([0.0]), np.array([1.0]))
-        assert_allclose(clamp_to_box(b, np.array([-2.0])), [0.0])
-        assert_allclose(clamp_to_box(b, np.array([0.5])), [0.5])
-        assert_allclose(clamp_to_box(b, np.array([5.0])), [1.0])
+        assert_allclose(b.clamp(np.array([-2.0])), [0.0])
+        assert_allclose(b.clamp(np.array([0.5])), [0.5])
+        assert_allclose(b.clamp(np.array([5.0])), [1.0])
 
     def test_violation(self):
         b = BoxBounds(np.array([0.0, -np.inf]), np.array([1.0, np.inf]))

@@ -42,18 +42,6 @@ class TestMakePair:
         assert_allclose(s.euclidean, [1.0])
         assert_allclose(y.euclidean, [-1.0])
 
-    def test_beta_scaling(self):
-        geom = flat_geom(1)
-        _, y = make_pair(
-            geom,
-            ProductPoint([0.0]),
-            ProductTangent([1.0]),
-            ProductTangent([1.0]),
-            ProductTangent([4.0]),
-            beta=2.0,
-        )
-        assert_allclose(y.euclidean, [1.0])
-
     def test_sphere_step_tangent_at_target(self, rng):
         sph = Sphere(3)
         geom = Geometry(BoxBounds.empty(), sph)
@@ -213,53 +201,6 @@ class TestMiddleMatrix:
             mem.push(geom, p, ProductTangent([0.0, 1e8]), ProductTangent([0.0, 1e8]))
 
 
-class TestCoefficients:
-    def test_empty_memory(self):
-        geom = flat_geom(2)
-        p = ProductPoint(np.zeros(2))
-        mem = LbfgsMemory()
-        x = ProductTangent([1.0, 2.0])
-        assert mem.coeff_y(geom, p, x).shape == (0,)
-        assert mem.coeff_s(geom, p, x).shape == (0,)
-
-    def test_self_inner_product(self):
-        geom = flat_geom(2)
-        p = ProductPoint(np.zeros(2))
-        mem = LbfgsMemory()
-        y = ProductTangent([1.0, 2.0])
-        mem.push(geom, p, ProductTangent([1.0, 0.0]), y)
-        assert_allclose(mem.coeff_y(geom, p, y), [5.0])
-
-    def test_linearity(self, rng):
-        geom = flat_geom(4)
-        p = ProductPoint(np.zeros(4))
-        mem = fill_memory(geom, p, rng, pushes=3)
-        for _ in range(20):
-            x = geom.random_tangent(p, rng)
-            y = geom.random_tangent(p, rng)
-            a, b = rng.standard_normal(2)
-            combo = a * x + b * y
-            for coeff in (mem.coeff_y, mem.coeff_s):
-                lhs = coeff(geom, p, combo)
-                rhs = a * coeff(geom, p, x) + b * coeff(geom, p, y)
-                assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
-
-
-class TestQuadForm:
-    def test_empty_memory_is_scaled_identity(self):
-        mem = LbfgsMemory()
-        mem.theta = 3.0
-        assert mem.quad_form(2.0, np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0)) == 6.0
-
-    def test_zero_coefficients(self, rng):
-        geom = flat_geom(3)
-        p = ProductPoint(np.zeros(3))
-        mem = fill_memory(geom, p, rng, pushes=2)
-        mu = mem.size
-        z = np.zeros(mu)
-        assert mem.quad_form(0.0, z, z, z, z) == 0.0
-
-
 class TestPairing:
     def test_empty_memory_is_inner(self, rng):
         geom = flat_geom(3)
@@ -268,6 +209,28 @@ class TestPairing:
         x = geom.random_tangent(p, rng)
         y = geom.random_tangent(p, rng)
         assert_allclose(mem.pairing(geom, p, x, y), geom.inner(p, x, y), rtol=1e-14)
+
+    def test_empty_memory_is_scaled_identity(self, rng):
+        geom = flat_geom(3)
+        p = ProductPoint(np.zeros(3))
+        mem = LbfgsMemory()
+        mem.theta = 3.0
+        x = geom.random_tangent(p, rng)
+        y = geom.random_tangent(p, rng)
+        assert_allclose(mem.pairing(geom, p, x, y), 3.0 * geom.inner(p, x, y), rtol=1e-14)
+
+    def test_linearity(self, rng):
+        geom = flat_geom(4)
+        p = ProductPoint(np.zeros(4))
+        mem = fill_memory(geom, p, rng, pushes=3)
+        zero = geom.zero_tangent(p)
+        for _ in range(20):
+            x, y, z = (geom.random_tangent(p, rng) for _ in range(3))
+            a, b = rng.standard_normal(2)
+            lhs = mem.pairing(geom, p, a * x + b * y, z)
+            rhs = a * mem.pairing(geom, p, x, z) + b * mem.pairing(geom, p, y, z)
+            assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
+            assert mem.pairing(geom, p, zero, z) == 0.0
 
     def test_symmetry(self, rng):
         geom = flat_geom(4)
