@@ -9,6 +9,11 @@ followed by an aggregate record (means of the numeric columns, maximum
 violation) whose termination field carries the 95% normal-approximation
 half-widths for time and objective.  Exit code 0 means every run terminated
 without a line-search failure, 1 flags a failed run, 2 a usage error.
+
+``time_ms`` is wall time (``time.perf_counter``) for a serial run.  With
+``--jobs`` above 1 the runs share one interpreter on worker threads, so a
+wall clock would also count the time a run waits for the GIL; there
+``time_ms`` is the run's own thread CPU time (``time.thread_time``).
 """
 
 from __future__ import annotations
@@ -173,15 +178,19 @@ def run_suite(
     class_column: Optional[str] = None,
     jobs: int = 1,
     options: Optional[SolverOptions] = None,
-    timer: Callable[[], float] = time.perf_counter,
+    timer: Optional[Callable[[], float]] = None,
 ) -> int:
     """Run a benchmark suite and write its records; returns the exit code.
 
     Deterministic under a fixed seed except for the timing column (inject a
-    fake ``timer`` to pin that too).
+    fake ``timer`` to pin that too).  The default timer is
+    ``time.perf_counter``, or the per-thread ``time.thread_time`` when
+    ``jobs > 1``.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
+    if timer is None:
+        timer = time.thread_time if jobs > 1 else time.perf_counter
     opts = options or SolverOptions()
     tasks = _build_problems(suite, seed, instances, csv_path, class_column)
     if jobs > 1:
@@ -221,7 +230,12 @@ def _make_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--class-column", default=None, help="class column name for --csv input"
     )
-    run.add_argument("--jobs", type=int, default=1, help="worker threads")
+    run.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker threads; above 1, time_ms is per-thread CPU time, not wall time",
+    )
     return parser
 
 

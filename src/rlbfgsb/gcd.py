@@ -8,11 +8,14 @@ Projecting the ray onto the box yields a piecewise-linear path ``d_PL(t)``
     q(t) = f(p) + <grad, d_PL(t)> + 1/2 <d_PL(t), H[d_PL(t)]>
 
 is piecewise quadratic in ``t``; this module locates its first local
-minimizer ``t_*`` by walking the breakpoints in a min-heap and updating the
+minimizer ``t_*`` by walking the breakpoints in time order and updating the
 segment slope ``f'`` and curvature ``f''`` incrementally.  Each breakpoint
 crossing needs only three Hessian values, all cheap in the compact
 limited-memory representation; the running coefficient vectors live in
-:class:`SegmentState`.
+:class:`SegmentState`.  The breakpoint times come from one vectorized
+expression, and the walk partitions off the next few smallest and sorts only
+those, doubling the chunk when it runs out, so its cost follows the
+breakpoints actually crossed rather than the box dimension.
 
 The search is capped by a sentinel breakpoint at the manifold's maximum
 step size.  The returned direction is ``t_* d`` with every coordinate whose
@@ -22,8 +25,8 @@ flag and the largest multiplier the subsequent line search may apply.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -63,19 +66,58 @@ class GcdOutcome:
     t_max: float
 
 
+# Breakpoints sorted by the first chunk of the walk; later chunks double it.
+FIRST_CHUNK = 16
+
+
 @dataclass
 class BreakpointSet:
-    """Per-coordinate travel times plus the heap driving the segment walk.
+    """Per-coordinate travel times plus the ordered walk over them.
 
     ``times[i]`` is the positive time at which box coordinate ``i`` meets the
     bound it moves towards (``+inf`` for a zero direction component or an
     infinite facing bound; ``0`` for a component sitting on its bound and
-    moving into it).  The heap holds the strictly positive finite entries and
-    one sentinel ``(t_manifold_max, -1)``.
+    moving into it).  ``candidates`` are the indices, ascending, of the
+    strictly positive finite times: the breakpoints :meth:`walk` visits,
+    together with one sentinel ``(t_manifold_max, -1)``.
     """
 
     times: np.ndarray
-    heap: list[tuple[float, int]]
+    t_manifold_max: float
+    candidates: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.candidates = np.flatnonzero((self.times > 0.0) & (self.times < np.inf))
+
+    def walk(self) -> Iterator[tuple[float, int]]:
+        """Yield the breakpoints as ``(t, i)`` in ascending order.
+
+        The sentinel comes ahead of any box breakpoint with the same time.
+        Each chunk holds every remaining candidate up to the k-th smallest
+        time, ties included, so no tie group splits across two chunks and
+        the stable sort over ascending indices orders ties by index.
+        """
+        sentinel = float(self.t_manifold_max)
+        pending = True
+        idx = self.candidates
+        ct = self.times[idx]
+        k = FIRST_CHUNK
+        while ct.size:
+            j = min(k, ct.size) - 1
+            kth = np.partition(ct, j)[j]
+            near = ct <= kth
+            ts, ids = ct[near], idx[near]
+            order = np.argsort(ts, kind="stable")
+            for t, i in zip(ts[order].tolist(), ids[order].tolist()):
+                if pending and t >= sentinel:
+                    pending = False
+                    yield sentinel, -1
+                yield t, i
+            far = ct > kth
+            idx, ct = idx[far], ct[far]
+            k *= 2
+        if pending:
+            yield sentinel, -1
 
 
 def compute_breakpoints(
@@ -84,24 +126,17 @@ def compute_breakpoints(
     d_d: np.ndarray,
     t_manifold_max: float = np.inf,
 ) -> BreakpointSet:
-    """Travel times to the facing bounds, as a min-heap with sentinel.
+    """Travel times to the facing bounds, with the walk's candidate set.
 
     Zero-time entries (a coordinate exactly on its bound moving outward) are
-    kept out of the heap; callers avoid them entirely by projecting ``d``
-    onto the tangent cone first.
+    never walked; callers avoid them entirely by projecting ``d`` onto the
+    tangent cone first.
     """
-    n = bounds.n
-    times = np.full(n, np.inf)
-    with np.errstate(invalid="ignore"):
-        neg = d_d < 0
-        times[neg] = (bounds.lower[neg] - p_d[neg]) / d_d[neg]
-        pos = d_d > 0
-        times[pos] = (bounds.upper[pos] - p_d[pos]) / d_d[pos]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        times = (np.where(d_d < 0, bounds.lower, bounds.upper) - p_d) / d_d
+    times[d_d == 0] = np.inf
     times[times == 0.0] = 0.0  # normalize -0.0
-    heap = [(float(t), i) for i, t in enumerate(times) if 0.0 < t < np.inf]
-    heap.append((float(t_manifold_max), -1))
-    heapq.heapify(heap)
-    return BreakpointSet(times=times, heap=heap)
+    return BreakpointSet(times, t_manifold_max)
 
 
 @dataclass
@@ -182,8 +217,6 @@ def generalized_cauchy_direction(
         t_manifold_max = geom.max_stepsize(p)
     bounds = geom.box
     bps = compute_breakpoints(bounds, p.euclidean, d.euclidean, t_manifold_max)
-    tms = bps.times
-    finite_breakpoint = bool(np.any((tms > 0.0) & np.isfinite(tms)))
 
     not_found = GcdOutcome(geom.zero_tangent(p), GcdStatus.NOT_FOUND, -1.0)
 
@@ -193,9 +226,10 @@ def generalized_cauchy_direction(
         return not_found
     dt_min = -f1 / f2
 
-    heap = bps.heap
+    walk = bps.walk()
     t_old = 0.0
-    t, b = heapq.heappop(heap)
+    t, b = next(walk)
+    t_nearest = t  # min(t_manifold_max, nearest box breakpoint)
     dt = t
     qs = surrogate_init(mem, geom, p, d)
 
@@ -217,9 +251,7 @@ def generalized_cauchy_direction(
             dt_min = 0.0
             break
         dt_min = -f1 / f2
-        if not heap:  # unreachable while the sentinel is unpopped; defensive
-            break
-        t, b = heapq.heappop(heap)
+        t, b = next(walk)  # never exhausted: the loop stops at the sentinel
         dt = t - t_old
 
     t_star = t_old + max(0.0, dt_min)
@@ -227,7 +259,7 @@ def generalized_cauchy_direction(
         return not_found
 
     direction = t_star * d
-    passed = tms < t  # components fixed at their bound before the last pop
+    passed = bps.times < t  # components fixed at their bound before the last one walked
     eu = direction.euclidean
     if np.any(passed):
         idx = np.nonzero(passed)[0]
@@ -249,8 +281,6 @@ def generalized_cauchy_direction(
             eu[under] = np.nextafter(eu[under], np.inf)
             under = p.euclidean + eu < bounds.lower
 
-    if finite_breakpoint:
-        positive = tms[tms > 0.0]
-        t_nearest = min(float(t_manifold_max), float(np.min(positive)))
+    if bps.candidates.size:
         return GcdOutcome(direction, GcdStatus.FOUND_LIMITED, max(1.0, t_nearest / t_star))
     return GcdOutcome(direction, GcdStatus.FOUND_UNLIMITED, np.inf)

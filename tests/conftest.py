@@ -11,8 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import rlbfgsb as rb
+
+# One profile for every property test: no per-example deadline (timings on a
+# loaded machine are noisy) and a fixed example sequence, so runs repeat.
+# Modules set only their own ``max_examples``.
+settings.register_profile("rlbfgsb", deadline=None, derandomize=True)
+settings.load_profile("rlbfgsb")
 
 
 def dense_bfgs_matrix(mem: rb.LbfgsMemory, n: int) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Generalized Cauchy direction tests: breakpoints, segment updates, search."""
 
-import heapq
 import math
 
 import numpy as np
@@ -52,19 +51,24 @@ class TestComputeBreakpoints:
         out = compute_breakpoints(b, np.array([0.5]), np.array([2.0]))
         assert out.times[0] == np.inf
 
-    def test_at_bound_moving_in_excluded_from_heap(self):
+    def test_at_bound_moving_in_never_walked(self):
         b = BoxBounds(np.array([0.0]), np.array([1.0]))
         out = compute_breakpoints(b, np.array([0.0]), np.array([-1.0]), t_manifold_max=5.0)
         assert out.times[0] == 0.0
-        assert all(idx == -1 for _, idx in out.heap)
+        assert list(out.walk()) == [(5.0, -1)]
 
-    def test_heap_pops_sorted_with_sentinel(self):
+    def test_walk_sorted_with_sentinel(self):
         b = BoxBounds(np.zeros(3), np.array([1.0, 2.0, 3.0]))
         out = compute_breakpoints(b, np.zeros(3), np.ones(3), t_manifold_max=2.5)
-        popped = [heapq.heappop(out.heap) for _ in range(len(out.heap))]
-        assert [i for _, i in popped] == [0, 1, -1, 2]
-        times = [t for t, _ in popped]
+        walked = list(out.walk())
+        assert [i for _, i in walked] == [0, 1, -1, 2]
+        times = [t for t, _ in walked]
         assert times == sorted(times)
+
+    def test_sentinel_ahead_of_tied_breakpoint(self):
+        b = BoxBounds(np.zeros(3), np.array([3.0, 2.0, 2.0]))
+        out = compute_breakpoints(b, np.zeros(3), np.ones(3), t_manifold_max=2.0)
+        assert list(out.walk()) == [(2.0, -1), (2.0, 1), (2.0, 2), (3.0, 0)]
 
 
 class TestSurrogateInit:
@@ -99,7 +103,7 @@ class TestSurrogateInit:
 
 
 def _walk_segments(geom, p, grad, d, mem):
-    """Drive the incremental updates over all finite breakpoints in heap order.
+    """Drive the incremental updates over all finite breakpoints in walk order.
 
     Yields, after each transition, the incrementally updated ``(f1, f2)``
     together with the segment data needed for from-scratch checks.
@@ -284,6 +288,37 @@ class TestCauchyDirectionProperties:
             if out.status is GcdStatus.NOT_FOUND:
                 continue
             target = p.euclidean + out.direction.euclidean
+            assert np.all(target >= geom.box.lower)
+            assert np.all(target <= geom.box.upper)
+
+    @pytest.mark.parametrize("pairs", [0, 5])
+    def test_large_box_oracle(self, rng, pairs):
+        # n in [50, 400] with tight bounds, so the walk crosses many breakpoints
+        # and runs through several chunks; pairs with y = A s (A diagonal near I)
+        # keep theta near 1 so a filled memory does not stop the path early.
+        for _ in range(6):
+            n = int(rng.integers(50, 401))
+            geom = box_geometry(-rng.uniform(0.01, 0.5, n), rng.uniform(0.01, 0.5, n))
+            p = geom.random_point(rng)
+            mem = LbfgsMemory(capacity=5)
+            for _ in range(pairs):
+                s = rng.standard_normal(n)
+                mem.push(geom, p, ProductTangent(s), ProductTangent(rng.uniform(0.5, 1.5, n) * s))
+            assert mem.size == pairs
+            grad = ProductTangent(rng.standard_normal(n))
+            d = -1.0 * grad
+            out = generalized_cauchy_direction(geom, p, grad, d, mem, np.inf)
+            assert out.status is GcdStatus.FOUND_LIMITED
+            h = dense_bfgs_matrix(mem, n)
+            times = compute_breakpoints(geom.box, p.euclidean, d.euclidean).times
+            t_ref, q_ref = path_first_local_minimizer(
+                p.euclidean, d.euclidean, grad.euclidean, h, geom.box.lower, geom.box.upper, times
+            )
+            assert np.count_nonzero(times < t_ref) >= 40
+            z = out.direction.euclidean
+            q_got = z @ grad.euclidean + 0.5 * z @ h @ z
+            assert abs(q_got - q_ref) <= 1e-8 * abs(q_ref)
+            target = p.euclidean + z
             assert np.all(target >= geom.box.lower)
             assert np.all(target <= geom.box.upper)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import rlbfgsb as rb
 from rlbfgsb import BoxBounds, Geometry, LbfgsMemory, ProductTangent
 
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+SETTINGS = settings(max_examples=150)
 
 
 @st.composite
