@@ -10,8 +10,10 @@ tangent at the current iterate), a positive scaling ``theta``, and a small
 with coefficient maps ``Wy(X)_i = <y_i, X>`` and ``Ws(X)_i = theta <s_i, X>``.
 ``M`` is the inverse of the block matrix ``[[-D, L^T], [L, Q]]`` where
 ``D = diag(<s_i, y_i>)``, ``Q = theta [<s_i, s_j>]`` and ``L`` is the strictly
-lower triangular part of ``[<s_i, y_j>]``.  The inverse is assembled from a
-single factorization of the Schur complement ``Q + L D^{-1} L^T``.
+lower triangular part of ``[<s_i, y_j>]``.  The inverse is assembled from the
+inverse of the Schur complement ``Q + L D^{-1} L^T``, which is symmetric
+positive definite whenever the pairs pass the curvature test; its extreme
+eigenvalues decide whether ``M`` is usable.
 
 The pairs are the rows of two ``(mu, N)`` arrays ``S`` and ``Y`` of packed
 tangents (:meth:`Geometry.pack`), oldest first.  The Gram blocks are
@@ -29,6 +31,8 @@ vector transport.  Box transport is the identity, so on a pure box geometry
 this does nothing; with a manifold, the manifold columns of all ``2 mu`` rows
 move in one batched call.  Pairs whose curvature ``<s, y> >= eps ||y||^2`` the
 transport destroys are discarded, which keeps the operator positive definite.
+Transport leaves ``M`` stale; the following :meth:`LbfgsMemory.push` rebuilds
+it once, and any read of ``M`` before that rebuilds it on demand.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from .geometry import Geometry, ProductPoint, ProductTangent
 
 __all__ = ["LbfgsMemory", "MemoryPair", "SingularMiddleMatrix", "make_pair"]
 
-# Condition-number cutoff above which the middle matrix is declared unusable.
+# Cutoff on the 2-norm condition number of the Schur complement above which
+# the middle matrix is declared unusable.
 _COND_LIMIT = 1e14
 
 
@@ -93,6 +98,7 @@ class LbfgsMemory:
         self._sy = np.zeros(self.capacity)
         self._size = 0
         self._middle = np.zeros((0, 0))
+        self._stale = False  # pairs or theta changed since _middle was built
 
     @property
     def size(self) -> int:
@@ -126,6 +132,7 @@ class LbfgsMemory:
         self._size = 0
         self.theta = 1.0
         self._middle = np.zeros((0, 0))
+        self._stale = False
 
     # ------------------------------------------------------------------
     # Updates
@@ -140,20 +147,23 @@ class LbfgsMemory:
 
         On acceptance the oldest pair is evicted if the memory is full, the
         scaling becomes ``<y, y> / <s, y>`` of the new pair, and the middle
-        matrix is reassembled.
+        matrix is rebuilt.  A rejection rebuilds it only when a preceding
+        :meth:`transport` left it stale.  Either rebuild raises
+        :class:`SingularMiddleMatrix` when the pairs are numerically singular.
         """
         sv, yv = geom.pack(s), geom.pack(y)
         sy, yy = float(sv @ yv), float(yv @ yv)
         if not self._passes_curvature(sy, yy):
+            if self._stale:
+                self._refresh_middle()
             return False
         if self._rows.shape[2] != sv.size:
             self._rows = np.zeros((self.capacity, 2, sv.size))
             self._size = 0
         self._geom = geom
         if self._size == self.capacity:
-            for i in range(self.capacity - 1):  # disjoint rows: no temporary copy
-                self._rows[i] = self._rows[i + 1]
-            self._sy = np.roll(self._sy, -1)
+            self._rows[:-1] = self._rows[1:]
+            self._sy[:-1] = self._sy[1:]
             self._size -= 1
         self._rows[self._size] = sv, yv
         self._sy[self._size] = sy
@@ -166,9 +176,13 @@ class LbfgsMemory:
         """Carry all pairs to the tangent space at ``retract(p_old, step)``.
 
         Pairs whose curvature the transport destroys are discarded; returns
-        how many were dropped.  Scaling and middle matrix are refreshed from
-        the survivors.  Box transport is the identity, so without a manifold
-        nothing changes.
+        how many were dropped.  The scaling is reset from the newest
+        survivor, and the middle matrix is left stale: the next :meth:`push`
+        rebuilds it once, after the new pair is in, and reads before that
+        rebuild it on demand.  So transported pairs that are numerically
+        singular on their own raise :class:`SingularMiddleMatrix` only if
+        they still are once ``push`` has evicted or added a pair.  Box
+        transport is the identity, so without a manifold nothing changes.
         """
         if not self._size or geom.manifold is None:
             return 0
@@ -183,37 +197,59 @@ class LbfgsMemory:
         self._size = keep.size
         self._sy[: keep.size] = sy[keep]
         self.theta = float(yy[keep[-1]] / sy[keep[-1]]) if keep.size else 1.0
-        self._refresh_middle()
+        self._stale = True
         return dropped
 
     # ------------------------------------------------------------------
     # Compact representation
 
     def _refresh_middle(self) -> None:
-        if self._size == 0:
+        """Rebuild the middle matrix from the stored pairs and ``theta``.
+
+        The Schur complement counts as singular when it is not finite, not
+        positive definite, or its condition number exceeds ``_COND_LIMIT``.
+        It is symmetric, so that number is the ratio of its extreme
+        eigenvalues, taken from one symmetric eigenvalue solve rather than
+        a singular value decomposition.  A cheaper Cholesky pivot ratio is
+        only a lower bound and can miss the cutoff by orders of magnitude.
+        """
+        mu = self._size
+        if mu == 0:
             self._middle = np.zeros((0, 0))
+            self._stale = False
             return
         S, Y, d = self.S, self.Y, self.sy
         q = self.theta * (S @ S.T)
         low = np.tril(S @ Y.T, -1)
 
-        # Inverse of [[-D, L^T], [L, Q]] from one factorization of the Schur
+        # Inverse of [[-D, L^T], [L, Q]] from the inverse of the Schur
         # complement Q + L D^{-1} L^T.
         ld = low / d[None, :]
         schur = q + ld @ (d[:, None] * ld.T)
-        if not np.all(np.isfinite(schur)) or np.linalg.cond(schur) > _COND_LIMIT:
+        eigs = np.linalg.eigvalsh(schur) if np.all(np.isfinite(schur)) else None
+        if eigs is None or not eigs[0] > 0.0 or eigs[-1] > _COND_LIMIT * eigs[0]:
             raise SingularMiddleMatrix(
                 "middle matrix is numerically singular; memory must be reset"
             )
         schur_inv = np.linalg.inv(schur)
-        top_left = -np.diag(1.0 / d) + ld.T @ schur_inv @ ld
         top_right = ld.T @ schur_inv
-        middle = np.block([[top_left, top_right], [top_right.T, schur_inv]])
+        middle = np.empty((2 * mu, 2 * mu))
+        middle[:mu, :mu] = top_right @ ld
+        middle[np.arange(mu), np.arange(mu)] -= 1.0 / d
+        middle[:mu, mu:] = top_right
+        middle[mu:, :mu] = top_right.T
+        middle[mu:, mu:] = schur_inv
         self._middle = (middle + middle.T) / 2.0
+        self._stale = False
+
+    def _current_middle(self) -> np.ndarray:
+        if self._stale:
+            self._refresh_middle()
+        return self._middle
 
     def middle_matrix(self) -> np.ndarray:
         """The ``2 mu x 2 mu`` inverse block matrix (a copy)."""
-        return self._middle.copy()
+        return self._current_middle().copy()
 
     def m_bilinear(
         self, ay: np.ndarray, as_: np.ndarray, by: np.ndarray, bs: np.ndarray
@@ -221,7 +257,7 @@ class LbfgsMemory:
         """Evaluate ``[ay; as]^T M [by; bs]`` against the middle matrix."""
         left = np.concatenate([ay, as_])
         right = np.concatenate([by, bs])
-        return float(left @ self._middle @ right)
+        return float(left @ self._current_middle() @ right)
 
     def pairing(
         self, geom: Geometry, p: ProductPoint, x: ProductTangent, y: ProductTangent

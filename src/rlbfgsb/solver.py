@@ -88,12 +88,20 @@ class SolverState:
 
 @dataclass
 class StepReport:
-    """What one iteration did; consumed by :func:`solve` and by tests."""
+    """What one iteration did; consumed by :func:`solve` and by tests.
+
+    ``pairs_dropped`` counts the stored pairs whose curvature the transport
+    destroyed; ``pair_rejected`` says the curvature test refused the new
+    pair.  A pair lost to a singular middle matrix counts under
+    ``memory_resets`` instead.
+    """
 
     alpha: float = 0.0
     cost: float = np.nan
     gcd_status: GcdStatus = GcdStatus.NOT_FOUND
     memory_resets: int = 0
+    pairs_dropped: int = 0
+    pair_rejected: bool = False
     stationary: bool = False
     line_search_failed: bool = False
 
@@ -210,9 +218,9 @@ def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepRe
     grad_new = problem.gradient(p_new)
 
     try:
-        state.memory.transport(geom, state.point, step_vec)
+        report.pairs_dropped = state.memory.transport(geom, state.point, step_vec)
         s, y = make_pair(geom, state.point, step_vec, state.grad, grad_new)
-        state.memory.push(geom, p_new, s, y)
+        report.pair_rejected = not state.memory.push(geom, p_new, s, y)
     except SingularMiddleMatrix:
         state.memory.reset()
         report.memory_resets += 1

@@ -18,9 +18,9 @@ SETTINGS = settings(max_examples=150)
 
 
 @st.composite
-def cases(draw):
+def cases(draw, kinds=("box", "sphere", "stiefel")):
     """(geometry, point, memory, rng, free mask) with a random box and memory."""
-    kind = draw(st.sampled_from(["box", "sphere", "stiefel"]))
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(1 if kind == "box" else 0, 5))
     lower = np.array([draw(st.sampled_from([-np.inf, -1.0, -0.25, 0.0])) for _ in range(n)])
     upper = np.array([draw(st.sampled_from([0.0, 0.25, 1.0, np.inf])) for _ in range(n)])
@@ -143,6 +143,31 @@ def test_middle_matrix_inverts_block_matrix(case):
     s = np.array([geom.pack(pr.s) for pr in pairs])
     y = np.array([geom.pack(pr.y) for pr in pairs])
     low = np.tril(s @ y.T, -1)
+    block = np.block([[-np.diag(d), low.T], [low, mem.theta * (s @ s.T)]])
+    residual = mem.middle_matrix() @ block - np.eye(2 * mem.size)
+    assert np.max(np.abs(residual)) <= 1e-9
+
+
+@SETTINGS
+@given(cases(kinds=("sphere", "stiefel")), st.floats(0.5, 3.0))
+def test_transported_memory_reads_a_fresh_middle_matrix(case, scale):
+    # transport alone leaves the middle matrix stale; every read must rebuild it
+    geom, p, mem, rng, _ = case
+    assume(mem.size > 0)
+    step = scale * geom.random_tangent(p, rng)
+    mem.transport(geom, p, step)
+    q = geom.retract(p, step)
+    x, y = geom.random_tangent(q, rng), geom.random_tangent(q, rng)
+    xy = mem.pairing(geom, q, x, y)
+    assert abs(xy - mem.pairing(geom, q, y, x)) <= 1e-12 * (1.0 + abs(xy))
+    if not mem.size:  # transport dropped every pair
+        assert mem.middle_matrix().shape == (0, 0)
+        return
+    pairs = mem.pairs
+    d = np.array([pr.sy for pr in pairs])
+    s = np.array([geom.pack(pr.s) for pr in pairs])
+    y_ = np.array([geom.pack(pr.y) for pr in pairs])
+    low = np.tril(s @ y_.T, -1)
     block = np.block([[-np.diag(d), low.T], [low, mem.theta * (s @ s.T)]])
     residual = mem.middle_matrix() @ block - np.eye(2 * mem.size)
     assert np.max(np.abs(residual)) <= 1e-9

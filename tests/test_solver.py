@@ -8,16 +8,20 @@ import rlbfgsb as rb
 from rlbfgsb import (
     BoxBounds,
     Geometry,
+    LbfgsMemory,
     Problem,
     ProductPoint,
     ProductTangent,
     SolverOptions,
     Sphere,
     Termination,
+    bss_problem,
+    euclidean_suite,
     init_state,
     projected_gradient_norm,
     solve,
     step,
+    synth_bss,
 )
 
 
@@ -239,3 +243,56 @@ class TestBoundActiveOptimum:
         assert res.point.euclidean[0] == 1.0
         assert res.point.euclidean[1] == 0.0
         assert abs(res.cost - ((1 - 2) ** 2 + 1 + 1.0)) <= 1e-7
+
+
+def random_rayleigh(dim, seed):
+    """``x^T A x`` on ``Sphere(dim)`` for a random symmetric ``A``."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((dim, dim))
+    a = (b + b.T) / 2.0
+    sph = Sphere(dim)
+    prob = Problem(
+        geometry=Geometry(BoxBounds.empty(), sph),
+        cost=lambda p: float(p.manifold @ a @ p.manifold),
+        gradient=lambda p: ProductTangent(
+            np.zeros(0), sph.project_tangent(p.manifold, 2.0 * a @ p.manifold)
+        ),
+    )
+    return prob, ProductPoint(np.zeros(0), sph.random_point(rng))
+
+
+def spy(monkeypatch, owner, name, log):
+    """Replace ``owner.name`` by a wrapper that appends each return value to ``log``."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        out = original(*args, **kwargs)
+        log.append(out)
+        return out
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+class TestMemoryBookkeeping:
+    def test_one_middle_refresh_per_push(self, monkeypatch):
+        bss = bss_problem(synth_bss(k=3, r=3, n=50, amplitude=1.0, seed=0, lam=0.1))
+        for prob, p0 in ((bss, bss.initial_point), random_rayleigh(30, 0)):
+            refreshes, pushes = [], []
+            with monkeypatch.context() as m:
+                spy(m, LbfgsMemory, "_refresh_middle", refreshes)
+                spy(m, LbfgsMemory, "push", pushes)
+                res = solve(prob, p0)
+            assert res.iterations >= 20
+            assert len(refreshes) == len(pushes) == res.iterations
+
+    def test_step_report_counts_match_memory(self, monkeypatch):
+        reports, pushes, transports = [], [], []
+        spy(monkeypatch, rb.solver, "step", reports)
+        spy(monkeypatch, LbfgsMemory, "push", pushes)
+        spy(monkeypatch, LbfgsMemory, "transport", transports)
+        # this BSS instance is one whose transport drops pairs
+        bss = bss_problem(synth_bss(k=3, r=3, n=10, amplitude=1.0, seed=5, lam=0.1))
+        for prob in euclidean_suite() + [bss]:
+            solve(prob, prob.initial_point)
+        assert sum(r.pair_rejected for r in reports) == pushes.count(False) > 0
+        assert sum(r.pairs_dropped for r in reports) == sum(transports) > 0
