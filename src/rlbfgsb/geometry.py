@@ -183,7 +183,8 @@ class Manifold:
     Points and tangents are arrays of shape :attr:`shape`.  The metric is the
     one induced by the Euclidean embedding (the plain Frobenius dot product),
     so the product geometry evaluates it itself.  ``transport`` and
-    ``project_tangent`` also accept tangents with leading batch axes.
+    ``project_tangent`` also accept tangents with leading batch axes, and
+    ``transport`` takes ``q = retract(p, x)`` when the caller already has it.
     """
 
     #: Conservative bound on the usable step length (injectivity radius).
@@ -197,7 +198,7 @@ class Manifold:
     def inverse_retract(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def transport(self, p: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def transport(self, p: np.ndarray, x: np.ndarray, v: np.ndarray, q=None) -> np.ndarray:
         raise NotImplementedError
 
     def project_tangent(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -243,8 +244,8 @@ class Sphere(Manifold):
             return np.zeros_like(p)
         return math.acos(c) * u / nu
 
-    def transport(self, p, x, v):
-        # Parallel transport along the geodesic t -> exp_p(t x).
+    def transport(self, p, x, v, q=None):
+        # Parallel transport along the geodesic t -> exp_p(t x); q is not needed.
         theta = float(np.linalg.norm(x))
         if theta == 0.0:
             return v.copy()
@@ -336,8 +337,8 @@ class Stiefel(Manifold):
     def inverse_retract(self, p, q):
         return _qr_inverse_retract_cols(p.T, q.T).T
 
-    def transport(self, p, x, v):
-        return self.project_tangent(self.retract(p, x), v)
+    def transport(self, p, x, v, q=None):
+        return self.project_tangent(self.retract(p, x) if q is None else q, v)
 
     def project_tangent(self, p, v):
         return v - _sym(v @ p.T) @ p
@@ -392,34 +393,29 @@ class Geometry:
 
     # -- validation helpers
 
-    def _check_point(self, p: ProductPoint) -> None:
-        if p.euclidean.shape[0] != self.box.n:
-            raise ValueError(
-                f"point has {p.euclidean.shape[0]} box coordinates, expected {self.box.n}"
-            )
-        if (p.manifold is None) != (self.manifold is None):
-            raise ValueError("point manifold part does not match the geometry")
-
-    def _check_tangent(self, x: ProductTangent) -> None:
-        if x.euclidean.shape[0] != self.box.n:
-            raise ValueError(
-                f"tangent has {x.euclidean.shape[0]} box coordinates, expected {self.box.n}"
-            )
-        if (x.manifold is None) != (self.manifold is None):
-            raise ValueError("tangent manifold part does not match the geometry")
+    def _check(self, *items: _ProductArrays) -> None:
+        """Raise unless each point or tangent has exactly this geometry's factors."""
+        for x in items:
+            if x.euclidean.shape[0] != self.box.n:
+                raise ValueError(
+                    f"{type(x).__name__} has {x.euclidean.shape[0]} box coordinates,"
+                    f" expected {self.box.n}"
+                )
+            if (x.manifold is None) != (self.manifold is None):
+                raise ValueError(f"{type(x).__name__} manifold part does not match the geometry")
 
     # -- metric
 
     def inner(self, p: ProductPoint, x: ProductTangent, y: ProductTangent) -> float:
-        self._check_tangent(x)
-        self._check_tangent(y)
+        self._check(x, y)
         val = float(np.dot(x.euclidean, y.euclidean))
         if self.manifold is not None:
             val += float(np.sum(x.manifold * y.manifold))
         return val
 
     def norm(self, p: ProductPoint, x: ProductTangent) -> float:
-        return math.sqrt(max(0.0, self.inner(p, x, x)))
+        # max(nan, 0.0) is nan: a NaN tangent must not read as zero length.
+        return math.sqrt(max(self.inner(p, x, x), 0.0))
 
     # -- retraction machinery
 
@@ -430,8 +426,7 @@ class Geometry:
         feasibility of the step, and the clip below only absorbs
         floating-point drift so iterates never leave the box.
         """
-        self._check_point(p)
-        self._check_tangent(x)
+        self._check(p, x)
         eu = self.box.clamp(p.euclidean + x.euclidean) if self.box.n else p.euclidean.copy()
         m = None
         if self.manifold is not None:
@@ -439,26 +434,30 @@ class Geometry:
         return ProductPoint(eu, m)
 
     def inverse_retract(self, p: ProductPoint, q: ProductPoint) -> ProductTangent:
-        self._check_point(p)
-        self._check_point(q)
+        self._check(p, q)
         m = None
         if self.manifold is not None:
             m = self.manifold.inverse_retract(p.manifold, q.manifold)
         return ProductTangent(q.euclidean - p.euclidean, m)
 
     def transport(
-        self, p: ProductPoint, x: ProductTangent, v: ProductTangent
-    ) -> ProductTangent:
-        """Carry ``v`` from ``T_p`` to the tangent space at ``retract(p, x)``."""
-        self._check_tangent(x)
-        packed = self.pack(v)
-        self.transport_packed(p, x, packed)
-        return self.unpack(packed)
+        self, p: ProductPoint, x: ProductTangent, rows: np.ndarray, q: ProductPoint | None = None
+    ) -> None:
+        """In place, carry the packed tangents ``rows[..., :]`` to ``q = retract(p, x)``.
+
+        Pass ``q`` when it is known, so that it is not retracted again.  Box
+        columns stay; the manifold parts of all rows move in one batched call.
+        """
+        if self.manifold is not None:
+            part = rows[..., self.box.n :]
+            batch = part.reshape(part.shape[:-1] + self.manifold.shape)
+            target = None if q is None else q.manifold
+            moved = self.manifold.transport(p.manifold, x.manifold, batch, target)
+            part[...] = moved.reshape(part.shape)
 
     def project_tangent_cone(self, p: ProductPoint, x: ProductTangent) -> ProductTangent:
         """Zero box components pointing out of the feasible set at active bounds."""
-        self._check_point(p)
-        self._check_tangent(x)
+        self._check(p, x)
         eu = x.euclidean.copy()
         if self.box.n:
             at_lower = (p.euclidean == self.box.lower) & (eu < 0)
@@ -475,7 +474,7 @@ class Geometry:
 
     def pack(self, x: ProductTangent) -> np.ndarray:
         """One flat vector: the box coordinates, then the raveled manifold part."""
-        self._check_tangent(x)
+        self._check(x)
         parts = [x.euclidean] if x.manifold is None else [x.euclidean, x.manifold.ravel()]
         return np.concatenate(parts)
 
@@ -484,17 +483,6 @@ class Geometry:
         n = self.box.n
         m = None if self.manifold is None else v[n:].reshape(self.manifold.shape)
         return ProductTangent(v[:n], m)
-
-    def transport_packed(self, p: ProductPoint, x: ProductTangent, rows: np.ndarray) -> None:
-        """In place, carry the packed tangents ``rows[..., :]`` to ``retract(p, x)``.
-
-        Box columns stay; the manifold parts of all rows move in one batched call.
-        """
-        if self.manifold is not None:
-            part = rows[..., self.box.n :]
-            batch = part.reshape(part.shape[:-1] + self.manifold.shape)
-            moved = self.manifold.transport(p.manifold, x.manifold, batch)
-            part[...] = moved.reshape(part.shape)
 
     # -- constructors and checks
 
@@ -518,7 +506,7 @@ class Geometry:
         return ProductTangent(eu, m)
 
     def is_feasible(self, p: ProductPoint, atol: float = 0.0) -> bool:
-        self._check_point(p)
+        self._check(p)
         ok = self.box.contains(p.euclidean, atol=atol)
         if ok and self.manifold is not None:
             ok = self.manifold.membership_residual(p.manifold) <= max(atol, 1e-8)

@@ -52,13 +52,14 @@ def armijo_capped(
     slope: float,
     t_max: float,
     config: LineSearchConfig | None = None,
-) -> tuple[float, float, int]:
+) -> tuple[float, float, int, ProductPoint]:
     """Step length in ``(0, t_max]`` with sufficient decrease along ``d``.
 
     ``slope`` is the directional derivative ``<grad f(p), d>`` and must be
-    negative.  Returns ``(alpha, f_new, evaluations)``; raises
-    :class:`LineSearchError` once ``config.max_evals`` cost evaluations fail
-    to satisfy the Armijo inequality.
+    negative.  Returns ``(alpha, f_new, evaluations, p_new)`` with the
+    accepted point ``p_new = geom.retract(p, alpha * d)``; a cost of ``-inf``
+    is accepted at once.  Raises :class:`LineSearchError` once
+    ``config.max_evals`` cost evaluations fail the Armijo inequality.
     """
     cfg = config or LineSearchConfig()
     if not slope < 0.0:
@@ -66,32 +67,31 @@ def armijo_capped(
 
     evals = 0
 
-    def phi(a: float) -> float:
+    def phi(a: float) -> tuple[float, ProductPoint]:
         nonlocal evals
         evals += 1
-        return float(cost_fn(geom.retract(p, a * d)))
+        q = geom.retract(p, a * d)
+        return float(cost_fn(q)), q
 
     def armijo(a: float, fa: float) -> bool:
         # NaN costs fail the comparison and keep the contraction going.
         return fa <= f0 + cfg.armijo_c1 * a * slope
 
     alpha = min(1.0, t_max)
-    f_alpha = phi(alpha)
+    f_alpha, p_alpha = phi(alpha)
     if armijo(alpha, f_alpha):
         if np.isinf(t_max):
-            while evals < cfg.max_evals:
+            while evals < cfg.max_evals and f_alpha > -np.inf:
                 cand = alpha * cfg.expansion
-                if cand > t_max:
-                    break
-                f_cand = phi(cand)
+                f_cand, p_cand = phi(cand)
                 if not armijo(cand, f_cand):
                     break
-                alpha, f_alpha = cand, f_cand
-        return alpha, f_alpha, evals
+                alpha, f_alpha, p_alpha = cand, f_cand, p_cand
+        return alpha, f_alpha, evals, p_alpha
 
     while evals < cfg.max_evals:
         alpha *= cfg.contraction
-        f_alpha = phi(alpha)
+        f_alpha, p_alpha = phi(alpha)
         if armijo(alpha, f_alpha):
-            return alpha, f_alpha, evals
+            return alpha, f_alpha, evals, p_alpha
     raise LineSearchError(f"no Armijo step after {evals} evaluations")

@@ -26,13 +26,13 @@ recursion seeded with ``(1/theta) Id``; by the standard duality of the BFGS
 and inverse-BFGS updates the two representations are exact inverses of each
 other, which the test-suite checks against dense oracles.
 
-Between outer iterations the pairs are carried to the new tangent space by
-vector transport.  Box transport is the identity, so on a pure box geometry
-this does nothing; with a manifold, the manifold columns of all ``2 mu`` rows
-move in one batched call.  Pairs whose curvature ``<s, y> >= eps ||y||^2`` the
-transport destroys are discarded, which keeps the operator positive definite.
-Transport leaves ``M`` stale; the following :meth:`LbfgsMemory.push` rebuilds
-it once, and any read of ``M`` before that rebuilds it on demand.
+Between outer iterations the pairs, the step and the old gradient (in a
+spare row) are carried to the accepted point by vector transport: the
+identity on the box, one batched call for the manifold columns.  Pairs whose
+curvature ``<s, y> >= eps ||y||^2`` the transport destroys are discarded,
+which keeps the operator positive definite; :func:`make_pair` forms the new
+pair from the spare row.  Transport leaves ``M`` stale; the following
+:meth:`LbfgsMemory.push` rebuilds it once, and any read before that does.
 """
 
 from __future__ import annotations
@@ -64,21 +64,14 @@ class MemoryPair:
 
 
 def make_pair(
-    geom: Geometry,
-    p_old: ProductPoint,
-    step: ProductTangent,
-    grad_old: ProductTangent,
-    grad_new: ProductTangent,
+    geom: Geometry, memory: "LbfgsMemory", grad_new: ProductTangent
 ) -> tuple[ProductTangent, ProductTangent]:
-    """Build the update pair for the step ``retract(p_old, step)``.
+    """``s = T(step)`` and ``y = grad_new - T(grad_old)`` from the last transport.
 
-    Returns ``s = T(step)`` and ``y = grad_new - T(grad_old)`` where ``T``
-    transports from ``p_old`` along ``step``; both are tangent at the new
-    point.  ``grad_new`` must already live there.
+    Both are tangent at the new point, where ``grad_new`` must already live.
     """
-    s = geom.transport(p_old, step, step)
-    y = grad_new - geom.transport(p_old, step, grad_old)
-    return s, y
+    step, grad_old = memory.carried
+    return geom.unpack(step.copy()), geom.unpack(geom.pack(grad_new) - grad_old)
 
 
 class LbfgsMemory:
@@ -93,8 +86,9 @@ class LbfgsMemory:
         self.curvature_eps = float(curvature_eps)
         self.theta = 1.0
         self._geom: Geometry | None = None
-        # _rows[i] is the pair (s_i, y_i); the first _size rows are live.
-        self._rows = np.zeros((self.capacity, 2, 0))
+        # _rows[i] is the pair (s_i, y_i); the first _size rows are live, and
+        # row _size carries the step and old gradient through transport.
+        self._rows = np.zeros((self.capacity + 1, 2, 0))
         self._sy = np.zeros(self.capacity)
         self._size = 0
         self._middle = np.zeros((0, 0))
@@ -113,6 +107,11 @@ class LbfgsMemory:
     def Y(self) -> np.ndarray:
         """Stored gradient differences as packed rows, oldest first (a view)."""
         return self._rows[: self._size, 1]
+
+    @property
+    def carried(self) -> np.ndarray:
+        """Step and old gradient as the last :meth:`transport` moved them (a view)."""
+        return self._rows[self._size]
 
     @property
     def sy(self) -> np.ndarray:
@@ -140,6 +139,13 @@ class LbfgsMemory:
     def _passes_curvature(self, sy, yy):
         return (yy > 0.0) & (sy >= self.curvature_eps * yy)
 
+    def _fit(self, geom: Geometry, width: int) -> None:
+        """Size the rows for packed tangents of ``width``; a new width drops all pairs."""
+        if self._rows.shape[2] != width:
+            self._rows = np.zeros((self.capacity + 1, 2, width))
+            self._size = 0
+        self._geom = geom
+
     def push(
         self, geom: Geometry, p: ProductPoint, s: ProductTangent, y: ProductTangent
     ) -> bool:
@@ -157,10 +163,7 @@ class LbfgsMemory:
             if self._stale:
                 self._refresh_middle()
             return False
-        if self._rows.shape[2] != sv.size:
-            self._rows = np.zeros((self.capacity, 2, sv.size))
-            self._size = 0
-        self._geom = geom
+        self._fit(geom, sv.size)
         if self._size == self.capacity:
             self._rows[:-1] = self._rows[1:]
             self._sy[:-1] = self._sy[1:]
@@ -172,28 +175,39 @@ class LbfgsMemory:
         self._refresh_middle()
         return True
 
-    def transport(self, geom: Geometry, p_old: ProductPoint, step: ProductTangent) -> int:
-        """Carry all pairs to the tangent space at ``retract(p_old, step)``.
+    def transport(
+        self,
+        geom: Geometry,
+        p_old: ProductPoint,
+        step: ProductTangent,
+        grad_old: ProductTangent,
+        p_new: ProductPoint | None = None,
+    ) -> int:
+        """Carry the pairs, ``step`` and ``grad_old`` to ``p_new = retract(p_old, step)``.
 
-        Pairs whose curvature the transport destroys are discarded; returns
-        how many were dropped.  The scaling is reset from the newest
-        survivor, and the middle matrix is left stale: the next :meth:`push`
-        rebuilds it once, after the new pair is in, and reads before that
-        rebuild it on demand.  So transported pairs that are numerically
-        singular on their own raise :class:`SingularMiddleMatrix` only if
-        they still are once ``push`` has evicted or added a pair.  Box
-        transport is the identity, so without a manifold nothing changes.
+        ``step`` and ``grad_old`` move in the spare row, in the same batched
+        call, and stay readable as :attr:`carried` until the next
+        :meth:`push`; pass ``p_new`` when it is known, so it is not retracted
+        again.  Pairs whose curvature the transport destroys are discarded;
+        returns how many were dropped.  The scaling is reset from the newest
+        survivor, and the middle matrix is left stale for :meth:`push` (or a
+        read) to rebuild, so pairs that are numerically singular only until
+        ``push`` evicts or adds one raise no :class:`SingularMiddleMatrix`.
         """
-        if not self._size or geom.manifold is None:
+        sv = geom.pack(step)
+        self._fit(geom, sv.size)
+        n = self._size
+        self._rows[n] = sv, geom.pack(grad_old)
+        geom.transport(p_old, step, self._rows[: n + 1], p_new)
+        if not n or geom.manifold is None:
             return 0
-        geom.transport_packed(p_old, step, self._rows[: self._size])
         S, Y = self.S, self.Y
         sy = np.einsum("ij,ij->i", S, Y)
         yy = np.einsum("ij,ij->i", Y, Y)
         keep = np.flatnonzero(self._passes_curvature(sy, yy))
-        dropped = self._size - keep.size
+        dropped = n - keep.size
         if dropped:
-            self._rows[: keep.size] = self._rows[keep]
+            self._rows[: keep.size + 1] = self._rows[np.append(keep, n)]
         self._size = keep.size
         self._sy[: keep.size] = sy[keep]
         self.theta = float(yy[keep[-1]] / sy[keep[-1]]) if keep.size else 1.0

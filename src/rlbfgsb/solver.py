@@ -2,8 +2,9 @@
 
 Each step: apply the inverse compact operator to the negative gradient,
 project the result onto the tangent cone, run the generalized Cauchy search
-along it, take an Armijo step within the interval the search allows, retract,
-carry the memory to the new tangent space, and admit the new update pair.
+along it, and take an Armijo step within the interval the search allows,
+at the point the search retracted to; one batched transport carries the
+memory, step and old gradient there, and the new update pair is admitted.
 
 Degenerate situations (no Cauchy direction, failed line search, singular
 middle matrix) discard the curvature memory and retry the iteration once
@@ -13,6 +14,7 @@ along the projected steepest-descent direction before giving up.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -43,6 +45,7 @@ class Termination(Enum):
     COST_STAGNATION = "cost_stagnation"
     MAX_ITERATIONS = "max_iterations"
     LINE_SEARCH_FAILURE = "line_search_failure"
+    NON_FINITE = "non_finite"
 
 
 @dataclass
@@ -93,7 +96,8 @@ class StepReport:
     ``pairs_dropped`` counts the stored pairs whose curvature the transport
     destroyed; ``pair_rejected`` says the curvature test refused the new
     pair.  A pair lost to a singular middle matrix counts under
-    ``memory_resets`` instead.
+    ``memory_resets`` instead.  ``stop`` is the termination the step calls
+    for, if any.
     """
 
     alpha: float = 0.0
@@ -102,13 +106,18 @@ class StepReport:
     memory_resets: int = 0
     pairs_dropped: int = 0
     pair_rejected: bool = False
-    stationary: bool = False
-    line_search_failed: bool = False
+    stop: Optional[Termination] = None
 
 
 def projected_gradient_norm(geom: Geometry, p: ProductPoint, grad: ProductTangent) -> float:
     """Norm of the tangent-cone projection of the negative gradient."""
     return geom.norm(p, geom.project_tangent_cone(p, -grad))
+
+
+def _is_finite(x: ProductTangent) -> bool:
+    return bool(np.isfinite(x.euclidean).all()) and (
+        x.manifold is None or bool(np.isfinite(x.manifold).all())
+    )
 
 
 def init_state(problem: Problem, p0: ProductPoint, options: SolverOptions) -> SolverState:
@@ -119,9 +128,7 @@ def init_state(problem: Problem, p0: ProductPoint, options: SolverOptions) -> So
     if not np.isfinite(cost):
         raise ValueError(f"cost at the initial point is not finite: {cost}")
     grad = problem.gradient(p0)
-    if not np.all(np.isfinite(grad.euclidean)) or (
-        grad.manifold is not None and not np.all(np.isfinite(grad.manifold))
-    ):
+    if not _is_finite(grad):
         raise ValueError("gradient at the initial point is not finite")
     memory = LbfgsMemory(options.memory_capacity, options.curvature_eps)
     return SolverState(point=p0.copy(), grad=grad, cost=cost, memory=memory)
@@ -153,24 +160,21 @@ def _cauchy_direction(state: SolverState, geom: Geometry, steepest: bool):
     memory has just been reset then).
     """
     p, g = state.point, state.grad
-    v = geom.project_tangent_cone(p, -g)
-    if steepest:
-        d = v
-    else:
-        mask = _free_mask(geom, p, g)
-        d = state.memory.apply_inverse(geom, p, v, free_mask=mask)
+    d = geom.project_tangent_cone(p, -g)
+    if not steepest:
+        d = state.memory.apply_inverse(geom, p, d, free_mask=_free_mask(geom, p, g))
         d = geom.project_tangent_cone(p, d)
-    outcome = generalized_cauchy_direction(geom, p, g, d, state.memory)
-    return outcome
+    return generalized_cauchy_direction(geom, p, g, d, state.memory)
 
 
 def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepReport:
     """Advance the state by one iteration.
 
-    The report flags stationarity (no usable descent direction even after a
-    memory reset: the projected gradient vanishes) and unrecoverable line
-    search failure; on success the state holds the new point, gradient, cost
-    and transported memory.
+    ``report.stop`` names the termination, and the state is left as it was,
+    when no descent direction is left even after a memory reset (the
+    projected gradient vanishes), when the line search fails for good, or
+    when the accepted cost or gradient is not finite.  Otherwise the state
+    holds the accepted point, its gradient and cost, and the moved memory.
     """
     geom = problem.geometry
     report = StepReport()
@@ -181,14 +185,13 @@ def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepRe
         report.memory_resets += 1
         outcome = _cauchy_direction(state, geom, steepest=True)
         if outcome.status is GcdStatus.NOT_FOUND:
-            report.stationary = True
+            report.stop = Termination.PG_TOLERANCE
             return report
 
-    alpha = f_new = None
     for attempt in range(2):
         slope = geom.inner(state.point, state.grad, outcome.direction)
         try:
-            alpha, f_new, _ = armijo_capped(
+            alpha, f_new, _, p_new = armijo_capped(
                 problem.cost,
                 geom,
                 state.point,
@@ -201,25 +204,26 @@ def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepRe
             break
         except LineSearchError:
             if attempt == 1 or report.memory_resets > 0:
-                report.line_search_failed = True
+                report.stop = Termination.LINE_SEARCH_FAILURE
                 return report
             state.memory.reset()
             report.memory_resets += 1
             outcome = _cauchy_direction(state, geom, steepest=True)
             if outcome.status is GcdStatus.NOT_FOUND:
-                report.stationary = True
+                report.stop = Termination.PG_TOLERANCE
                 return report
-    if alpha is None:
-        report.line_search_failed = True
+
+    grad_new = problem.gradient(p_new) if math.isfinite(f_new) else None
+    if grad_new is None or not _is_finite(grad_new):
+        report.stop = Termination.NON_FINITE
         return report
 
     step_vec = alpha * outcome.direction
-    p_new = geom.retract(state.point, step_vec)
-    grad_new = problem.gradient(p_new)
-
     try:
-        report.pairs_dropped = state.memory.transport(geom, state.point, step_vec)
-        s, y = make_pair(geom, state.point, step_vec, state.grad, grad_new)
+        report.pairs_dropped = state.memory.transport(
+            geom, state.point, step_vec, state.grad, p_new
+        )
+        s, y = make_pair(geom, state.memory, grad_new)
         report.pair_rejected = not state.memory.push(geom, p_new, s, y)
     except SingularMiddleMatrix:
         state.memory.reset()
@@ -247,9 +251,11 @@ def solve(
 
     Stops when the projected gradient norm falls below ``pg_tolerance``, when
     the cost decrease drops below ``cost_change_factor * machine_eps``
-    relative to ``max(|f_prev|, |f|, 1)``, or after ``max_iterations``.
-    Every cost and gradient evaluation is counted, line-search trials
-    included.  ``callback(k, point, cost, pg_norm)`` runs once per iterate.
+    relative to ``max(|f_prev|, |f|, 1)``, or after ``max_iterations``; a
+    non-finite cost or gradient at an accepted point stops it at the last
+    finite iterate with :attr:`Termination.NON_FINITE`.  Every cost and
+    gradient evaluation is counted, line-search trials included.
+    ``callback(k, point, cost, pg_norm)`` runs once per iterate.
     """
     opts = options or SolverOptions()
     counts = {"cost": 0, "grad": 0}
@@ -275,15 +281,10 @@ def solve(
     eps = np.finfo(float).eps
     for _ in range(opts.max_iterations):
         if pg <= opts.pg_tolerance:
-            termination = Termination.PG_TOLERANCE
             break
         report = step(state, counted, opts)
-        if report.stationary:
-            pg = projected_gradient_norm(geom, state.point, state.grad)
-            termination = Termination.PG_TOLERANCE
-            break
-        if report.line_search_failed:
-            termination = Termination.LINE_SEARCH_FAILURE
+        if report.stop is not None:
+            termination = report.stop
             break
         pg = projected_gradient_norm(geom, state.point, state.grad)
         if callback is not None:
@@ -292,14 +293,11 @@ def solve(
         decrease = state.prev_cost - state.cost
         scale = max(abs(state.prev_cost), abs(state.cost), 1.0)
         if decrease <= opts.cost_change_factor * eps * scale:
-            if pg <= opts.pg_tolerance:
-                termination = Termination.PG_TOLERANCE
-            else:
-                termination = Termination.COST_STAGNATION
+            termination = Termination.COST_STAGNATION
             break
-    else:
-        if pg <= opts.pg_tolerance:
-            termination = Termination.PG_TOLERANCE
+    # A step that stops the solve leaves pg as it was, above the tolerance.
+    if pg <= opts.pg_tolerance:
+        termination = Termination.PG_TOLERANCE
 
     return SolverResult(
         point=state.point,

@@ -168,9 +168,10 @@ class TestTransport:
     def test_box_identity(self):
         geom = Geometry(BoxBounds.unbounded(2))
         p = ProductPoint(np.zeros(2))
-        v = ProductTangent([1.0, -2.0])
-        out = geom.transport(p, ProductTangent([0.3, 0.4]), v)
-        assert_allclose(out.euclidean, v.euclidean)
+        rows = np.array([[1.0, -2.0], [0.5, 3.0]])
+        out = rows.copy()
+        geom.transport(p, ProductTangent([0.3, 0.4]), out)
+        assert_allclose(out, rows)
 
     def test_sphere_quarter_circle_parallel(self):
         sph = Sphere(3)

@@ -25,7 +25,7 @@ GEOM = Geometry(BoxBounds.unbounded(1))
 def test_unit_step_on_quadratic():
     p = ProductPoint([1.0])
     d = ProductTangent([-1.0])
-    alpha, f_new, evals = armijo_capped(quad_cost, GEOM, p, d, 0.5, -1.0, np.inf)
+    alpha, f_new, evals, _ = armijo_capped(quad_cost, GEOM, p, d, 0.5, -1.0, np.inf)
     assert alpha == 1.0
     assert f_new == 0.0
     assert evals >= 1
@@ -35,7 +35,7 @@ def test_linear_decrease_capped_at_one():
     cost = lambda p: float(p.euclidean[0])
     p = ProductPoint([0.0])
     d = ProductTangent([-1.0])
-    alpha, f_new, _ = armijo_capped(cost, GEOM, p, d, 0.0, -1.0, 1.0)
+    alpha, f_new, _, _ = armijo_capped(cost, GEOM, p, d, 0.0, -1.0, 1.0)
     assert alpha == 1.0
     assert f_new == -1.0
 
@@ -46,7 +46,7 @@ def test_steep_valley_contracts():
     d = ProductTangent([-2.0])  # overshoots the valley floor at unit step
     f0, slope = 100.0, -400.0
     cfg = LineSearchConfig()
-    alpha, f_new, _ = armijo_capped(cost, GEOM, p, d, f0, slope, np.inf, cfg)
+    alpha, f_new, _, _ = armijo_capped(cost, GEOM, p, d, f0, slope, np.inf, cfg)
     assert 0.0 < alpha < 1.0
     assert f_new <= f0 + cfg.armijo_c1 * alpha * slope
 
@@ -56,7 +56,7 @@ def test_expansion_when_unlimited():
     cost = lambda p: 0.5 * float((p.euclidean[0] - 10.0) ** 2)
     p = ProductPoint([0.0])
     d = ProductTangent([1.0])
-    alpha, f_new, _ = armijo_capped(cost, GEOM, p, d, 50.0, -10.0, np.inf)
+    alpha, f_new, _, _ = armijo_capped(cost, GEOM, p, d, 50.0, -10.0, np.inf)
     assert alpha > 1.0
     assert f_new < 50.0
 
@@ -65,7 +65,7 @@ def test_no_expansion_when_capped():
     cost = lambda p: 0.5 * float((p.euclidean[0] - 10.0) ** 2)
     p = ProductPoint([0.0])
     d = ProductTangent([1.0])
-    alpha, _, _ = armijo_capped(cost, GEOM, p, d, 50.0, -10.0, 4.0)
+    alpha, _, _, _ = armijo_capped(cost, GEOM, p, d, 50.0, -10.0, 4.0)
     assert alpha == 1.0
 
 
@@ -82,7 +82,7 @@ def test_alpha_never_exceeds_t_max(rng):
         t_max = float(rng.choice([1.0, 2.0, 8.0, np.inf]))
         f0 = cost(p)
         slope = -(grad**2)
-        alpha, f_new, _ = armijo_capped(cost, GEOM, p, d, f0, slope, t_max)
+        alpha, f_new, _, _ = armijo_capped(cost, GEOM, p, d, f0, slope, t_max)
         assert alpha <= t_max
         assert f_new <= f0 + 1e-4 * alpha * slope
         assert f_new < f0
@@ -112,7 +112,7 @@ def test_nan_cost_keeps_contracting():
 
     p = ProductPoint([1.0])
     d = ProductTangent([-1.0])
-    alpha, f_new, _ = armijo_capped(cost, GEOM, p, d, 0.5, -1.0, np.inf)
+    alpha, f_new, _, _ = armijo_capped(cost, GEOM, p, d, 0.5, -1.0, np.inf)
     assert np.isfinite(f_new)
     assert alpha <= 0.0625
     assert f_new < 0.5
@@ -125,3 +125,26 @@ def test_config_validation():
         LineSearchConfig(contraction=1.0)
     with pytest.raises(ValueError):
         LineSearchConfig(expansion=0.5)
+
+
+def test_minus_inf_cost_ends_the_expansion():
+    # -inf passes the Armijo inequality; the search hands it back at once
+    # instead of doubling the step until the evaluation budget runs out
+    cost = lambda p: -np.inf if p.euclidean[0] > 2.0 else -float(p.euclidean[0])
+    p = ProductPoint([0.0])
+    d = ProductTangent([1.0])
+    alpha, f_new, evals, p_new = armijo_capped(cost, GEOM, p, d, 0.0, -1.0, np.inf)
+    assert (alpha, f_new, evals) == (4.0, -np.inf, 3)
+    assert p_new.euclidean[0] == 4.0
+
+
+def test_returns_the_accepted_point():
+    sph = rb.Sphere(3)
+    geom = Geometry(BoxBounds.empty(), sph)
+    p = ProductPoint(np.zeros(0), np.array([1.0, 0.0, 0.0]))
+    d = ProductTangent(np.zeros(0), np.array([0.0, -0.5, 0.0]))
+    cost = lambda q: float(q.manifold[1])
+    alpha, f_new, _, p_new = armijo_capped(cost, geom, p, d, 0.0, -0.5, np.inf)
+    want = geom.retract(p, alpha * d)
+    np.testing.assert_array_equal(p_new.manifold, want.manifold)
+    assert f_new == cost(want)

@@ -32,13 +32,9 @@ def flat_geom(n):
 class TestMakePair:
     def test_flat_identity_transport(self):
         geom = flat_geom(1)
-        s, y = make_pair(
-            geom,
-            ProductPoint([0.0]),
-            ProductTangent([1.0]),
-            ProductTangent([2.0]),
-            ProductTangent([1.0]),
-        )
+        mem = LbfgsMemory(capacity=2)
+        mem.transport(geom, ProductPoint([0.0]), ProductTangent([1.0]), ProductTangent([2.0]))
+        s, y = make_pair(geom, mem, ProductTangent([1.0]))
         assert_allclose(s.euclidean, [1.0])
         assert_allclose(y.euclidean, [-1.0])
 
@@ -50,7 +46,9 @@ class TestMakePair:
         grad_old = geom.random_tangent(p, rng)
         q = geom.retract(p, step)
         grad_new = geom.random_tangent(q, rng)
-        s, y = make_pair(geom, p, step, grad_old, grad_new)
+        mem = LbfgsMemory(capacity=2)
+        mem.transport(geom, p, step, grad_old, q)
+        s, y = make_pair(geom, mem, grad_new)
         assert sph.tangency_residual(q.manifold, s.manifold) <= 1e-10
         assert sph.tangency_residual(q.manifold, y.manifold) <= 1e-10
 
@@ -103,7 +101,8 @@ class TestTransportMemory:
         p = ProductPoint(np.zeros(3))
         mem = fill_memory(geom, p, rng, pushes=3)
         before = [(pr.s.euclidean.copy(), pr.y.euclidean.copy()) for pr in mem.pairs]
-        discarded = mem.transport(geom, p, ProductTangent(rng.standard_normal(3)))
+        step = ProductTangent(rng.standard_normal(3))
+        discarded = mem.transport(geom, p, step, geom.zero_tangent(p))
         assert discarded == 0
         for (s0, y0), pr in zip(before, mem.pairs):
             assert_allclose(pr.s.euclidean, s0)
@@ -115,7 +114,7 @@ class TestTransportMemory:
         p = geom.random_point(rng)
         mem = fill_memory(geom, p, rng, pushes=4)
         step = geom.random_tangent(p, rng)
-        mem.transport(geom, p, step)
+        mem.transport(geom, p, step, geom.random_tangent(p, rng))
         q = geom.retract(p, step)
         for pr in mem.pairs:
             assert sph.tangency_residual(q.manifold, pr.s.manifold) <= 1e-10
@@ -136,13 +135,11 @@ class TestTransportMemory:
             if not mem.push(geom, p, s, y):
                 continue
             step = 3.0 * geom.random_tangent(p, rng)
-            q = geom.retract(p, step)
-            s2 = geom.transport(p, step, s)
-            y2 = geom.transport(p, step, y)
-            sy = geom.inner(q, s2, y2)
-            yy = geom.inner(q, y2, y2)
-            if sy < 1e-3 * yy:
-                discarded = mem.transport(geom, p, step)
+            rows = np.array([geom.pack(s), geom.pack(y)])
+            geom.transport(p, step, rows)
+            s2, y2 = rows
+            if s2 @ y2 < 1e-3 * (y2 @ y2):
+                discarded = mem.transport(geom, p, step, geom.zero_tangent(p))
                 assert discarded == 1
                 assert mem.size == 0
                 assert mem.theta == 1.0

@@ -3,8 +3,9 @@
 Geometries are a box alone, a box times a sphere, and a box times a Stiefel
 manifold.  Bounds mix finite and infinite entries; memory contents come from
 a seeded generator so every drawn case is reproducible.  The oracles are
-dense: the inverse-BFGS matrix built by the product update rule, the
-per-vector transport, and an explicit inverse of the block matrix.
+dense: the inverse-BFGS matrix built by the product update rule, one
+three-argument ``Manifold.transport`` call per tangent, and an explicit
+inverse of the block matrix.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rlbfgsb as rb
-from rlbfgsb import BoxBounds, Geometry, LbfgsMemory, ProductTangent
+from rlbfgsb import BoxBounds, Geometry, LbfgsMemory, ProductTangent, make_pair
 
 SETTINGS = settings(max_examples=150)
 
@@ -54,6 +55,21 @@ def weight(geom, mask):
     """The 0/1 packed weight: 1 on free box coordinates and the manifold part."""
     ones = None if geom.manifold is None else np.ones(geom.manifold.shape)
     return geom.pack(ProductTangent(mask.astype(float), ones))
+
+
+def per_vector_transport(geom, p, step, v):
+    """Reference: one three-argument ``Manifold.transport`` call per tangent."""
+    m = None
+    if geom.manifold is not None:
+        m = geom.manifold.transport(p.manifold, step.manifold, v.manifold)
+    return ProductTangent(v.euclidean.copy(), m)
+
+
+def assert_matches_at(geom, q, got, want):
+    """``got`` equals ``want`` to 1e-12 and is tangent at ``q``."""
+    scale = 1.0 + np.max(np.abs(geom.pack(want)))
+    assert np.max(np.abs(geom.pack(got) - geom.pack(want))) <= 1e-12 * scale
+    assert geom.tangency_residual(q, got) <= 1e-10 * scale
 
 
 def dense_masked_inverse(geom, mem, w):
@@ -117,20 +133,70 @@ def test_transport_matches_per_vector_transport(case, scale):
     geom, p, mem, rng, _ = case
     step = scale * geom.random_tangent(p, rng)
     before = mem.pairs
-    dropped = mem.transport(geom, p, step)
+    dropped = mem.transport(geom, p, step, geom.random_tangent(p, rng))
     q = geom.retract(p, step)
     expected = []
     for pr in before:
-        s, y = geom.transport(p, step, pr.s), geom.transport(p, step, pr.y)
+        s = per_vector_transport(geom, p, step, pr.s)
+        y = per_vector_transport(geom, p, step, pr.y)
         sy, yy = geom.inner(q, s, y), geom.inner(q, y, y)
         if yy > 0 and sy >= mem.curvature_eps * yy:
             expected.append((s, y))
     assert mem.size == len(expected) == len(before) - dropped
     for pr, (s, y) in zip(mem.pairs, expected):
-        for got, want in ((pr.s, s), (pr.y, y)):
-            scale_ = 1.0 + np.max(np.abs(geom.pack(want)))
-            assert np.max(np.abs(geom.pack(got) - geom.pack(want))) <= 1e-12 * scale_
-            assert geom.tangency_residual(q, got) <= 1e-10 * scale_
+        assert_matches_at(geom, q, pr.s, s)
+        assert_matches_at(geom, q, pr.y, y)
+
+
+@SETTINGS
+@given(
+    cases(kinds=("sphere", "stiefel")),
+    st.floats(0.1, 3.0),
+    st.sampled_from(["empty", "drawn", "full"]),
+)
+def test_new_pair_and_moved_rows_match_per_vector_reference(case, scale, fill):
+    # One iteration's memory update, transport to a known target, make_pair,
+    # push, against per-vector transports of every stored and new tangent.
+    geom, p, mem, rng, _ = case
+    if fill == "empty":
+        mem.reset()
+    for _ in range(50 if fill == "full" else 0):
+        if mem.size == mem.capacity:
+            break
+        s = geom.random_tangent(p, rng)
+        mem.push(geom, p, s, s + 0.1 * geom.random_tangent(p, rng))
+    assume(fill != "full" or mem.size == mem.capacity)
+    step = scale * geom.random_tangent(p, rng)
+    grad_old = geom.random_tangent(p, rng)
+    q = geom.retract(p, step)
+
+    def passes(s, y):
+        yy = geom.inner(q, y, y)
+        return yy > 0 and geom.inner(q, s, y) >= mem.curvature_eps * yy
+
+    expected = []
+    for pr in mem.pairs:
+        s = per_vector_transport(geom, p, step, pr.s)
+        y = per_vector_transport(geom, p, step, pr.y)
+        if passes(s, y):
+            expected.append((s, y))
+    s_ref = per_vector_transport(geom, p, step, step)
+    moved_grad = per_vector_transport(geom, p, step, grad_old)
+    grad_new = moved_grad + s_ref + 0.1 * geom.random_tangent(q, rng)
+    y_ref = grad_new - moved_grad
+
+    mem.transport(geom, p, step, grad_old, q)
+    s, y = make_pair(geom, mem, grad_new)
+    assert_matches_at(geom, q, s, s_ref)
+    assert_matches_at(geom, q, y, y_ref)
+    accepted = mem.push(geom, q, s, y)
+    assert accepted == passes(s_ref, y_ref)
+    if accepted:
+        expected = (expected + [(s_ref, y_ref)])[-mem.capacity :]
+    assert mem.size == len(expected)
+    for pr, (s, y) in zip(mem.pairs, expected):
+        assert_matches_at(geom, q, pr.s, s)
+        assert_matches_at(geom, q, pr.y, y)
 
 
 @SETTINGS
@@ -155,7 +221,7 @@ def test_transported_memory_reads_a_fresh_middle_matrix(case, scale):
     geom, p, mem, rng, _ = case
     assume(mem.size > 0)
     step = scale * geom.random_tangent(p, rng)
-    mem.transport(geom, p, step)
+    mem.transport(geom, p, step, geom.random_tangent(p, rng))
     q = geom.retract(p, step)
     x, y = geom.random_tangent(q, rng), geom.random_tangent(q, rng)
     xy = mem.pairing(geom, q, x, y)
@@ -173,7 +239,7 @@ def test_transported_memory_reads_a_fresh_middle_matrix(case, scale):
     assert np.max(np.abs(residual)) <= 1e-9
 
 
-def test_stiefel_transport_retracts_once(monkeypatch):
+def test_stiefel_transport_to_a_given_target_does_not_retract(monkeypatch):
     calls = []
     retract = rb.Stiefel.retract
 
@@ -184,16 +250,15 @@ def test_stiefel_transport_retracts_once(monkeypatch):
     rng = np.random.default_rng(7)
     geom = Geometry(BoxBounds.unbounded(20), rb.Stiefel(3, 3))
     p = geom.random_point(rng)
-    counts = []
-    for mu in (2, 10):
-        mem = LbfgsMemory(capacity=mu)
+    for mu in (0, 2, 10):
+        mem = LbfgsMemory(capacity=max(mu, 1))
         while mem.size < mu:
             s = geom.random_tangent(p, rng)
             mem.push(geom, p, s, s + 0.1 * geom.random_tangent(p, rng))
         step = 0.3 * geom.random_tangent(p, rng)
+        q = geom.retract(p, step)
         monkeypatch.setattr(rb.Stiefel, "retract", counted)
         calls.clear()
-        mem.transport(geom, p, step)
+        mem.transport(geom, p, step, geom.random_tangent(p, rng), q)
         monkeypatch.setattr(rb.Stiefel, "retract", retract)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] >= 1
+        assert calls == []

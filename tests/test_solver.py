@@ -1,5 +1,7 @@
 """Solver iteration tests: worked steps, termination, accounting, feasibility."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,7 @@ from rlbfgsb import (
     ProductTangent,
     SolverOptions,
     Sphere,
+    Stiefel,
     Termination,
     bss_problem,
     euclidean_suite,
@@ -296,3 +299,112 @@ class TestMemoryBookkeeping:
             solve(prob, prob.initial_point)
         assert sum(r.pair_rejected for r in reports) == pushes.count(False) > 0
         assert sum(r.pairs_dropped for r in reports) == sum(transports) > 0
+
+
+def nan_gradient_after(problem, good_calls):
+    """``problem`` whose gradient turns NaN after ``good_calls`` evaluations."""
+    calls = []
+
+    def gradient(p):
+        calls.append(1)
+        g = problem.gradient(p)
+        return g * np.nan if len(calls) > good_calls else g
+
+    return dataclasses.replace(problem, gradient=gradient)
+
+
+def rosenbrock():
+    return box_problem(
+        [-np.inf, -np.inf],
+        [np.inf, np.inf],
+        lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2,
+        lambda x: [
+            -400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+            200.0 * (x[1] - x[0] ** 2),
+        ],
+    )
+
+
+def box_stiefel_problem():
+    """``|x - c|^2 + tr(W A W^T)`` on ``[0, 1]^3 x Stiefel(2, 4)``."""
+    st = Stiefel(2, 4)
+    a = np.diag([4.0, 3.0, 2.0, 1.0])
+    c = np.array([0.5, 2.0, -1.0])
+    geom = Geometry(BoxBounds(np.zeros(3), np.ones(3)), st)
+    return Problem(
+        geometry=geom,
+        cost=lambda p: float(
+            np.sum((p.euclidean - c) ** 2) + np.trace(p.manifold @ a @ p.manifold.T)
+        ),
+        gradient=lambda p: ProductTangent(
+            2.0 * (p.euclidean - c), st.project_tangent(p.manifold, 2.0 * p.manifold @ a)
+        ),
+        initial_point=ProductPoint(np.full(3, 0.5), st.random_point(np.random.default_rng(3))),
+    )
+
+
+class TestNonFinite:
+    def test_nan_gradient_is_not_convergence(self):
+        # the 4th gradient evaluation is NaN, at a point far from the minimizer
+        good = solve(rosenbrock(), ProductPoint([-1.2, 1.0]), SolverOptions(max_iterations=2))
+        res = solve(nan_gradient_after(rosenbrock(), 3), ProductPoint([-1.2, 1.0]))
+        assert res.termination is Termination.NON_FINITE
+        assert res.iterations == 2
+        assert res.grad_evals == 4
+        assert_allclose(res.point.euclidean, good.point.euclidean, rtol=0, atol=0)
+        assert res.cost == good.cost and res.pg_norm == good.pg_norm > 1.0
+
+    def test_minus_inf_cost_stops_at_last_finite_iterate(self):
+        prob = box_problem(
+            [-np.inf], [np.inf], lambda x: -np.inf if x[0] > 2.0 else -x[0], lambda x: [-1.0]
+        )
+        res = solve(prob, ProductPoint([0.0]))
+        assert res.termination is Termination.NON_FINITE
+        assert res.iterations == 0
+        assert res.point.euclidean[0] == 0.0 and res.cost == 0.0
+        assert res.cost_evals == 4  # the start, then unit, doubled and -inf steps
+
+    def test_nan_gradient_on_box_times_stiefel(self):
+        prob = box_stiefel_problem()
+        p0 = prob.initial_point
+        good = solve(prob, p0, SolverOptions(max_iterations=5))
+        res = solve(nan_gradient_after(prob, 6), p0)
+        assert res.termination is Termination.NON_FINITE
+        assert res.iterations == 5
+        assert np.isfinite(res.cost) and np.isfinite(res.pg_norm)
+        np.testing.assert_array_equal(res.point.manifold, good.point.manifold)
+        np.testing.assert_array_equal(res.point.euclidean, good.point.euclidean)
+
+    def test_norm_of_nan_tangent_is_nan(self):
+        geom = Geometry(BoxBounds.unbounded(2))
+        assert np.isnan(geom.norm(ProductPoint(np.zeros(2)), ProductTangent([np.nan, 0.0])))
+
+
+class TestOneRetractionPerEvaluation:
+    def test_stiefel_retractions_equal_line_search_evaluations(self, monkeypatch):
+        # every retraction is a line-search trial; the start is not retracted
+        retractions, reports = [], []
+        spy(monkeypatch, Stiefel, "retract", retractions)
+        spy(monkeypatch, rb.solver, "step", reports)
+        bss = bss_problem(synth_bss(k=3, r=3, n=50, amplitude=1.0, seed=0, lam=0.1))
+        res = solve(bss, bss.initial_point)
+        assert res.iterations >= 20
+        assert len(retractions) == res.cost_evals - 1
+
+        # a box x Stiefel solve whose third middle-matrix refresh fails
+        refresh, refreshes = LbfgsMemory._refresh_middle, []
+
+        def failing_refresh(mem):
+            refreshes.append(1)
+            if len(refreshes) == 3:
+                raise rb.SingularMiddleMatrix("forced")
+            refresh(mem)
+
+        monkeypatch.setattr(LbfgsMemory, "_refresh_middle", failing_refresh)
+        prob = box_stiefel_problem()
+        retractions.clear()
+        reports.clear()
+        res = solve(prob, prob.initial_point)
+        assert sum(r.memory_resets for r in reports) >= 1
+        assert res.iterations >= 5
+        assert len(retractions) == res.cost_evals - 1
