@@ -9,17 +9,13 @@ followed by an aggregate record (means of the numeric columns, maximum
 violation) whose termination field carries the 95% normal-approximation
 half-widths for time and objective.  Exit code 0 means every run terminated
 without a line-search failure, 1 flags a failed run, 2 a usage error.
-
-``time_ms`` is wall time (``time.perf_counter``) for a serial run.  With
-``--jobs`` above 1 the runs share one interpreter on worker threads, so a
-wall clock would also count the time a run waits for the GIL; there
-``time_ms`` is the run's own thread CPU time (``time.thread_time``).
+Runs are serial, and ``time_ms`` is each run's wall time
+(``time.perf_counter``).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import sys
@@ -176,7 +172,6 @@ def run_suite(
     instances: int = 20,
     csv_path: Optional[str] = None,
     class_column: Optional[str] = None,
-    jobs: int = 1,
     options: Optional[SolverOptions] = None,
     timer: Optional[Callable[[], float]] = None,
 ) -> int:
@@ -184,22 +179,14 @@ def run_suite(
 
     Deterministic under a fixed seed except for the timing column (inject a
     fake ``timer`` to pin that too).  The default timer is
-    ``time.perf_counter``, or the per-thread ``time.thread_time`` when
-    ``jobs > 1``.
+    ``time.perf_counter``.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
-    if timer is None:
-        timer = time.thread_time if jobs > 1 else time.perf_counter
+    timer = timer or time.perf_counter
     opts = options or SolverOptions()
     tasks = _build_problems(suite, seed, instances, csv_path, class_column)
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(
-                pool.map(lambda ps: _run_one(ps[0], ps[1], opts, timer), tasks)
-            )
-    else:
-        records = [_run_one(prob, s, opts, timer) for prob, s in tasks]
+    records = [_run_one(prob, s, opts, timer) for prob, s in tasks]
     records.sort(key=lambda r: (r.problem, r.seed))
     failed = any(r.termination == Termination.LINE_SEARCH_FAILURE.value for r in records)
     records.append(_aggregate(records))
@@ -230,12 +217,6 @@ def _make_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--class-column", default=None, help="class column name for --csv input"
     )
-    run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads; above 1, time_ms is per-thread CPU time, not wall time",
-    )
     return parser
 
 
@@ -256,7 +237,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             instances=args.instances,
             csv_path=args.csv_path,
             class_column=args.class_column,
-            jobs=args.jobs,
             options=options,
         )
     except (OSError, ValueError) as exc:

@@ -161,12 +161,11 @@ def surrogate_init(
     mu = mem.size
     if not mu:  # a memory that never stored a pair does not know the tangent width
         return SegmentState(*(np.zeros(0) for _ in range(4)))
-    v = geom.pack(d)
     return SegmentState(
         c_y=np.zeros(mu),
         c_s=np.zeros(mu),
-        p_y=mem.Y @ v,
-        p_s=mem.theta * (mem.S @ v),
+        p_y=mem.Y @ d.data,
+        p_s=mem.theta * (mem.S @ d.data),
     )
 
 
@@ -216,7 +215,8 @@ def generalized_cauchy_direction(
     if t_manifold_max is None:
         t_manifold_max = geom.max_stepsize(p)
     bounds = geom.box
-    bps = compute_breakpoints(bounds, p.euclidean, d.euclidean, t_manifold_max)
+    x, d_eu, g_eu = p.euclidean, d.euclidean, grad.euclidean
+    bps = compute_breakpoints(bounds, x, d_eu, t_manifold_max)
 
     not_found = GcdOutcome(geom.zero_tangent(p), GcdStatus.NOT_FOUND, -1.0)
 
@@ -241,8 +241,8 @@ def generalized_cauchy_direction(
             # Manifold step-size sentinel: never search past it.
             dt_min = min(dt_min, dt)
             break
-        d_b = float(d.euclidean[b])
-        g_b = float(grad.euclidean[b])
+        d_b = float(d_eu[b])
+        g_b = float(g_eu[b])
         v1, v2 = segment_values(qs, mem, t, dt, b, d_b)
         f1 = f1 + dt * f2 - d_b * (g_b + v1)
         f2 = f2 - 2.0 * d_b * v2 + d_b * d_b * mem.basis_diag(b)
@@ -263,23 +263,18 @@ def generalized_cauchy_direction(
     eu = direction.euclidean
     if np.any(passed):
         idx = np.nonzero(passed)[0]
-        up = d.euclidean[idx] > 0
-        eu[idx] = np.where(
-            up,
-            bounds.upper[idx] - p.euclidean[idx],
-            bounds.lower[idx] - p.euclidean[idx],
-        )
+        eu[idx] = np.where(d_eu[idx] > 0, bounds.upper[idx], bounds.lower[idx]) - x[idx]
     # p + direction must lie in the box exactly; rounding in the offsets can
     # overshoot by an ulp, so nudge offending components back in.
     if bounds.n:
-        over = p.euclidean + eu > bounds.upper
+        over = x + eu > bounds.upper
         while np.any(over):
             eu[over] = np.nextafter(eu[over], -np.inf)
-            over = p.euclidean + eu > bounds.upper
-        under = p.euclidean + eu < bounds.lower
+            over = x + eu > bounds.upper
+        under = x + eu < bounds.lower
         while np.any(under):
             eu[under] = np.nextafter(eu[under], np.inf)
-            under = p.euclidean + eu < bounds.lower
+            under = x + eu < bounds.lower
 
     if bps.candidates.size:
         return GcdOutcome(direction, GcdStatus.FOUND_LIMITED, max(1.0, t_nearest / t_star))

@@ -2,9 +2,10 @@
 
 The optimization domain is the product of a Euclidean hypercube
 ``D = [l_1, u_1] x ... x [l_n, u_n]`` (bounds may be infinite) with an
-optional Riemannian manifold ``M``.  Points and tangent vectors carry one
-array per factor.  Either factor may be empty: a pure box problem uses
-``manifold=None``, a pure manifold problem uses a zero-length box.
+optional Riemannian manifold ``M``.  Points carry one array per factor;
+tangent vectors are packed (see below).  Either factor may be empty: a pure
+box problem uses ``manifold=None``, a pure manifold problem uses a
+zero-length box.
 
 Three concrete manifolds are provided:
 
@@ -20,9 +21,10 @@ identity.  :meth:`Geometry.project_tangent_cone` zeroes tangent components
 that point out of the feasible box at active bounds, leaving the manifold
 part untouched.
 
-Every metric is the embedded Euclidean one, so a tangent is also one flat
-array: :meth:`Geometry.pack` lays out the box coordinates, then the raveled
-manifold part.  No other module relies on that layout beyond the box part.
+Every metric is the embedded Euclidean one, so a tangent is one flat array,
+:attr:`ProductTangent.data`: the box coordinates, then the raveled manifold
+part, with the two factors as views into it.  The inner product is one dot
+product, and :meth:`Geometry.unpack` wraps a flat vector as a tangent.
 """
 
 from __future__ import annotations
@@ -114,8 +116,8 @@ class BoxBounds:
 
 
 @dataclass
-class _ProductArrays:
-    """One array per factor: box coordinates plus an optional manifold part."""
+class ProductPoint:
+    """A point ``(x_D, p_M)``: box coordinates plus an optional manifold part."""
 
     euclidean: np.ndarray
     manifold: np.ndarray | None = None
@@ -125,35 +127,63 @@ class _ProductArrays:
         if self.manifold is not None:
             self.manifold = np.asarray(self.manifold, dtype=float)
 
-    def copy(self):
+    def copy(self) -> "ProductPoint":
         m = None if self.manifold is None else self.manifold.copy()
-        return type(self)(self.euclidean.copy(), m)
+        return ProductPoint(self.euclidean.copy(), m)
+
+    def _layout(self) -> tuple[int, int]:
+        n = self.euclidean.shape[0]
+        return n, n + (0 if self.manifold is None else self.manifold.size)
 
 
-@dataclass
-class ProductPoint(_ProductArrays):
-    """A point ``(x_D, p_M)``: box coordinates plus an optional manifold part."""
+class ProductTangent:
+    """A tangent vector ``(v_D, X_M)`` at some product point, stored packed.
 
+    :attr:`data` is one flat array: the box coordinates, then the raveled
+    manifold part.  :attr:`euclidean` and :attr:`manifold` are views into it,
+    built on each access, so writes through them reach ``data``.
+    """
 
-@dataclass
-class ProductTangent(_ProductArrays):
-    """A tangent vector ``(v_D, X_M)`` at some product point."""
+    __slots__ = ("data", "_n", "_shape")
+
+    def __init__(self, euclidean, manifold=None):
+        eu = np.atleast_1d(np.asarray(euclidean, dtype=float))
+        self.data = np.concatenate([eu] if manifold is None else [eu, np.ravel(manifold)])
+        self._n = eu.shape[0]
+        self._shape = None if manifold is None else np.shape(manifold)
+
+    @classmethod
+    def _wrap(cls, data: np.ndarray, n: int, shape: tuple[int, ...] | None) -> "ProductTangent":
+        """A tangent over the flat ``data`` itself, without copying it."""
+        x = cls.__new__(cls)
+        x.data, x._n, x._shape = data, n, shape
+        return x
+
+    @property
+    def euclidean(self) -> np.ndarray:
+        return self.data[: self._n]
+
+    @property
+    def manifold(self) -> np.ndarray | None:
+        return None if self._shape is None else self.data[self._n :].reshape(self._shape)
+
+    def __repr__(self) -> str:
+        return f"ProductTangent(euclidean={self.euclidean!r}, manifold={self.manifold!r})"
+
+    def _layout(self) -> tuple[int, int]:
+        return self._n, self.data.size
+
+    def copy(self) -> "ProductTangent":
+        return self._wrap(self.data.copy(), self._n, self._shape)
 
     def __add__(self, other: "ProductTangent") -> "ProductTangent":
-        m = None
-        if self.manifold is not None:
-            m = self.manifold + other.manifold
-        return ProductTangent(self.euclidean + other.euclidean, m)
+        return self._wrap(self.data + other.data, self._n, self._shape)
 
     def __sub__(self, other: "ProductTangent") -> "ProductTangent":
-        m = None
-        if self.manifold is not None:
-            m = self.manifold - other.manifold
-        return ProductTangent(self.euclidean - other.euclidean, m)
+        return self._wrap(self.data - other.data, self._n, self._shape)
 
     def __mul__(self, a: float) -> "ProductTangent":
-        m = None if self.manifold is None else a * self.manifold
-        return ProductTangent(a * self.euclidean, m)
+        return self._wrap(a * self.data, self._n, self._shape)
 
     __rmul__ = __mul__
 
@@ -393,25 +423,22 @@ class Geometry:
 
     # -- validation helpers
 
-    def _check(self, *items: _ProductArrays) -> None:
+    def _check(self, *items: ProductPoint | ProductTangent) -> None:
         """Raise unless each point or tangent has exactly this geometry's factors."""
+        n = self.box.n
+        width = n if self.manifold is None else n + math.prod(self.manifold.shape)
         for x in items:
-            if x.euclidean.shape[0] != self.box.n:
-                raise ValueError(
-                    f"{type(x).__name__} has {x.euclidean.shape[0]} box coordinates,"
-                    f" expected {self.box.n}"
-                )
-            if (x.manifold is None) != (self.manifold is None):
+            xn, xwidth = x._layout()
+            if xn != n:
+                raise ValueError(f"{type(x).__name__} has {xn} box coordinates, expected {n}")
+            if xwidth != width:
                 raise ValueError(f"{type(x).__name__} manifold part does not match the geometry")
 
     # -- metric
 
     def inner(self, p: ProductPoint, x: ProductTangent, y: ProductTangent) -> float:
         self._check(x, y)
-        val = float(np.dot(x.euclidean, y.euclidean))
-        if self.manifold is not None:
-            val += float(np.sum(x.manifold * y.manifold))
-        return val
+        return float(x.data @ y.data)
 
     def norm(self, p: ProductPoint, x: ProductTangent) -> float:
         # max(nan, 0.0) is nan: a NaN tangent must not read as zero length.
@@ -458,31 +485,22 @@ class Geometry:
     def project_tangent_cone(self, p: ProductPoint, x: ProductTangent) -> ProductTangent:
         """Zero box components pointing out of the feasible set at active bounds."""
         self._check(p, x)
-        eu = x.euclidean.copy()
+        out = x.copy()
         if self.box.n:
+            eu = out.euclidean
             at_lower = (p.euclidean == self.box.lower) & (eu < 0)
             at_upper = (p.euclidean == self.box.upper) & (eu > 0)
             eu[at_lower | at_upper] = 0.0
-        m = None if x.manifold is None else x.manifold.copy()
-        return ProductTangent(eu, m)
+        return out
 
     def max_stepsize(self, p: ProductPoint | None = None) -> float:
         """Largest safe step along any direction (minimum over the factors)."""
         return np.inf if self.manifold is None else float(self.manifold.max_stepsize)
 
-    # -- packed tangents
-
-    def pack(self, x: ProductTangent) -> np.ndarray:
-        """One flat vector: the box coordinates, then the raveled manifold part."""
-        self._check(x)
-        parts = [x.euclidean] if x.manifold is None else [x.euclidean, x.manifold.ravel()]
-        return np.concatenate(parts)
-
     def unpack(self, v: np.ndarray) -> ProductTangent:
-        """Inverse of :meth:`pack`; the parts are views into ``v``."""
-        n = self.box.n
-        m = None if self.manifold is None else v[n:].reshape(self.manifold.shape)
-        return ProductTangent(v[:n], m)
+        """The tangent whose :attr:`ProductTangent.data` is the flat ``v``, not a copy."""
+        shape = None if self.manifold is None else self.manifold.shape
+        return ProductTangent._wrap(v, self.box.n, shape)
 
     # -- constructors and checks
 

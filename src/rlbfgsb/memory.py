@@ -16,9 +16,9 @@ positive definite whenever the pairs pass the curvature test; its extreme
 eigenvalues decide whether ``M`` is usable.
 
 The pairs are the rows of two ``(mu, N)`` arrays ``S`` and ``Y`` of packed
-tangents (:meth:`Geometry.pack`), oldest first.  The Gram blocks are
-``S S^T`` and ``S Y^T``, the coefficients of ``X`` are ``Y pack(X)`` and
-``theta S pack(X)``, and those of the box basis vector ``e_b`` are the
+tangents (:attr:`ProductTangent.data`), oldest first.  The Gram blocks are
+``S S^T`` and ``S Y^T``, the coefficients of ``X`` are ``Y X.data`` and
+``theta S X.data``, and those of the box basis vector ``e_b`` are the
 columns ``Y[:, b]`` and ``theta S[:, b]``.
 
 The inverse operator ``B = H^{-1}`` is applied with the classical two-loop
@@ -68,10 +68,11 @@ def make_pair(
 ) -> tuple[ProductTangent, ProductTangent]:
     """``s = T(step)`` and ``y = grad_new - T(grad_old)`` from the last transport.
 
-    Both are tangent at the new point, where ``grad_new`` must already live.
+    Both are tangent at the new point, where ``grad_new`` must already live;
+    ``s`` copies the carried row and ``y`` is one difference of flat vectors.
     """
     step, grad_old = memory.carried
-    return geom.unpack(step.copy()), geom.unpack(geom.pack(grad_new) - grad_old)
+    return geom.unpack(step.copy()), geom.unpack(grad_new.data - grad_old)
 
 
 class LbfgsMemory:
@@ -149,15 +150,16 @@ class LbfgsMemory:
     def push(
         self, geom: Geometry, p: ProductPoint, s: ProductTangent, y: ProductTangent
     ) -> bool:
-        """Admit a new pair; returns False when the curvature test rejects it.
+        """Admit ``(s.data, y.data)``; returns False when the curvature test rejects it.
 
-        On acceptance the oldest pair is evicted if the memory is full, the
-        scaling becomes ``<y, y> / <s, y>`` of the new pair, and the middle
-        matrix is rebuilt.  A rejection rebuilds it only when a preceding
-        :meth:`transport` left it stale.  Either rebuild raises
-        :class:`SingularMiddleMatrix` when the pairs are numerically singular.
+        On acceptance they are copied into the rows, the oldest pair is
+        evicted if the memory is full, the scaling becomes ``<y, y> / <s, y>``
+        of the new pair, and the middle matrix is rebuilt.  A rejection
+        rebuilds it only when a preceding :meth:`transport` left it stale.
+        Either rebuild raises :class:`SingularMiddleMatrix` when the pairs are
+        numerically singular.
         """
-        sv, yv = geom.pack(s), geom.pack(y)
+        sv, yv = s.data, y.data
         sy, yy = float(sv @ yv), float(yv @ yv)
         if not self._passes_curvature(sy, yy):
             if self._stale:
@@ -194,10 +196,10 @@ class LbfgsMemory:
         read) to rebuild, so pairs that are numerically singular only until
         ``push`` evicts or adds one raise no :class:`SingularMiddleMatrix`.
         """
-        sv = geom.pack(step)
+        sv = step.data
         self._fit(geom, sv.size)
         n = self._size
-        self._rows[n] = sv, geom.pack(grad_old)
+        self._rows[n] = sv, grad_old.data
         geom.transport(p_old, step, self._rows[: n + 1], p_new)
         if not n or geom.manifold is None:
             return 0
@@ -277,7 +279,7 @@ class LbfgsMemory:
         self, geom: Geometry, p: ProductPoint, x: ProductTangent, y: ProductTangent
     ) -> float:
         """The Hessian-form value ``<x, H[y]>``; symmetric in its arguments."""
-        xv, yv = geom.pack(x), geom.pack(y)
+        xv, yv = x.data, y.data
         value = self.theta * float(xv @ yv)
         if not self._size:
             return value
@@ -318,13 +320,13 @@ class LbfgsMemory:
         the newest surviving pair (1 when none survives).  This keeps the
         operator positive definite on the face, so the result is a descent
         direction there whenever ``x`` is the projected negative gradient.
-        Without a mask every coordinate is free.
+        Without a mask every coordinate is free.  The result wraps a new
+        flat vector.
         """
-        v = geom.pack(x)
-        w = np.ones(v.size)
+        w = np.ones(x.data.size)
         if free_mask is not None:
             w[: geom.box.n] = free_mask
-        q = w * v
+        q = w * x.data
         if not self._size:
             return geom.unpack((1.0 / self.theta) * q)
         S, Y = self.S, self.Y

@@ -114,12 +114,6 @@ def projected_gradient_norm(geom: Geometry, p: ProductPoint, grad: ProductTangen
     return geom.norm(p, geom.project_tangent_cone(p, -grad))
 
 
-def _is_finite(x: ProductTangent) -> bool:
-    return bool(np.isfinite(x.euclidean).all()) and (
-        x.manifold is None or bool(np.isfinite(x.manifold).all())
-    )
-
-
 def init_state(problem: Problem, p0: ProductPoint, options: SolverOptions) -> SolverState:
     geom = problem.geometry
     if not geom.is_feasible(p0):
@@ -128,23 +122,10 @@ def init_state(problem: Problem, p0: ProductPoint, options: SolverOptions) -> So
     if not np.isfinite(cost):
         raise ValueError(f"cost at the initial point is not finite: {cost}")
     grad = problem.gradient(p0)
-    if not _is_finite(grad):
+    if not np.isfinite(grad.data).all():
         raise ValueError("gradient at the initial point is not finite")
     memory = LbfgsMemory(options.memory_capacity, options.curvature_eps)
     return SolverState(point=p0.copy(), grad=grad, cost=cost, memory=memory)
-
-
-def _free_mask(geom: Geometry, p: ProductPoint, grad: ProductTangent) -> np.ndarray:
-    """Box coordinates not pinned at a bound by the gradient sign.
-
-    A coordinate is active when it sits exactly on a bound and the negative
-    gradient points out of the box there; those are the components the
-    tangent-cone projection of ``-grad`` zeroes.
-    """
-    eu = p.euclidean
-    g = grad.euclidean
-    active = ((eu == geom.box.lower) & (g > 0)) | ((eu == geom.box.upper) & (g < 0))
-    return ~active
 
 
 def _cauchy_direction(state: SolverState, geom: Geometry, steepest: bool):
@@ -160,9 +141,13 @@ def _cauchy_direction(state: SolverState, geom: Geometry, steepest: bool):
     memory has just been reset then).
     """
     p, g = state.point, state.grad
-    d = geom.project_tangent_cone(p, -g)
+    descent = -g
+    d = geom.project_tangent_cone(p, descent)
     if not steepest:
-        d = state.memory.apply_inverse(geom, p, d, free_mask=_free_mask(geom, p, g))
+        # The projection zeroes exactly the active components, which are
+        # nonzero in the finite -g, and leaves every free one as it was.
+        free = d.euclidean == descent.euclidean
+        d = state.memory.apply_inverse(geom, p, d, free_mask=free)
         d = geom.project_tangent_cone(p, d)
     return generalized_cauchy_direction(geom, p, g, d, state.memory)
 
@@ -214,7 +199,7 @@ def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepRe
                 return report
 
     grad_new = problem.gradient(p_new) if math.isfinite(f_new) else None
-    if grad_new is None or not _is_finite(grad_new):
+    if grad_new is None or not np.isfinite(grad_new.data).all():
         report.stop = Termination.NON_FINITE
         return report
 

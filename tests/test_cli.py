@@ -2,13 +2,11 @@
 
 import itertools
 import json
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rlbfgsb import cli
 from rlbfgsb.cli import CSV_HEADER, main, run_suite
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -67,36 +65,6 @@ class TestDeterminism:
         _, rows_b = read_rows(b)
         strip = lambda rows: [r[:2] + r[3:9] for r in rows[:-1]]
         assert strip(rows_a) == strip(rows_b)
-
-    def test_jobs_do_not_change_results(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_suite("euclidean", out=str(a), seed=1, timer=fake_timer())
-        run_suite("euclidean", out=str(b), seed=1, jobs=3, timer=fake_timer())
-        _, rows_a = read_rows(a)
-        _, rows_b = read_rows(b)
-        strip = lambda rows: [r[:2] + r[3:9] for r in rows[:-1]]
-        assert strip(rows_a) == strip(rows_b)
-
-    def test_threaded_runs_use_thread_cpu_time(self, tmp_path, monkeypatch):
-        # Worker threads time themselves with time.thread_time, so waiting
-        # for the GIL is not counted in time_ms; perf_counter is not used.
-        callers = []
-
-        def thread_time():
-            callers.append(threading.get_ident())
-            return 0.0
-
-        def perf_counter():
-            raise AssertionError("threaded runs must not use the wall clock")
-
-        monkeypatch.setattr(cli.time, "thread_time", thread_time)
-        monkeypatch.setattr(cli.time, "perf_counter", perf_counter)
-        out = tmp_path / "res.csv"
-        assert run_suite("euclidean", out=str(out), seed=0, jobs=2) == 0
-        _, rows = read_rows(out)
-        assert len(callers) == 2 * (len(rows) - 1)
-        assert threading.get_ident() not in callers
-        assert all(float(r[2]) == 0.0 for r in rows)
 
 
 class TestCpcCsvPipeline:

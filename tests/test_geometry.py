@@ -65,16 +65,16 @@ class TestInner:
         assert geom.inner(p, x, x) == 1.0
 
     def test_product_is_sum_of_parts(self, rng):
-        sph = Sphere(4)
-        geom = Geometry(BoxBounds.unbounded(3), sph)
-        for _ in range(20):
-            p = geom.random_point(rng)
-            x = geom.random_tangent(p, rng)
-            y = geom.random_tangent(p, rng)
-            expected = float(np.dot(x.euclidean, y.euclidean)) + float(
-                np.sum(x.manifold * y.manifold)
-            )
-            assert_allclose(geom.inner(p, x, y), expected, rtol=1e-14)
+        for manifold in (Sphere(4), Stiefel(2, 4), None):
+            geom = Geometry(BoxBounds.unbounded(3), manifold)
+            for _ in range(20):
+                p = geom.random_point(rng)
+                x = geom.random_tangent(p, rng)
+                y = geom.random_tangent(p, rng)
+                expected = float(np.dot(x.euclidean, y.euclidean))
+                if manifold is not None:
+                    expected += float(np.sum(x.manifold * y.manifold))
+                assert_allclose(geom.inner(p, x, y), expected, rtol=1e-14)
 
     def test_symmetry(self, rng):
         geom = Geometry(BoxBounds.unbounded(2), Stiefel(2, 4))
@@ -90,6 +90,68 @@ class TestInner:
         p = ProductPoint(np.zeros(2))
         with pytest.raises(ValueError):
             geom.inner(p, ProductTangent(np.zeros(3)), ProductTangent(np.zeros(3)))
+
+
+class TestProductTangent:
+    def test_constructor_packs_box_then_raveled_manifold(self):
+        m = np.array([[3.0, 4.0], [5.0, 6.0]])
+        x = ProductTangent([1.0, 2.0], m)
+        assert_allclose(x.data, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert x.manifold.shape == (2, 2)
+        assert_allclose(x.manifold, m)
+        box = ProductTangent([1.0, 2.0])
+        assert_allclose(box.data, [1.0, 2.0])
+        assert box.manifold is None
+
+    def test_writes_through_views_reach_data(self):
+        x = ProductTangent([1.0, 2.0], np.zeros((2, 2)))
+        x.euclidean[1] = -2.0
+        x.manifold[1, 0] = 7.0
+        assert_allclose(x.data, [1.0, -2.0, 0.0, 0.0, 7.0, 0.0])
+
+    def test_arithmetic_and_copy_keep_layout(self, rng):
+        geom = Geometry(BoxBounds.unbounded(2), Stiefel(2, 3))
+        p = geom.random_point(rng)
+        x, y = geom.random_tangent(p, rng), geom.random_tangent(p, rng)
+        for z, want in (
+            (x + y, x.data + y.data),
+            (x - y, x.data - y.data),
+            (2.0 * x, 2.0 * x.data),
+            (x * 2.0, 2.0 * x.data),
+            (-x, -x.data),
+            (x.copy(), x.data),
+        ):
+            assert np.array_equal(z.data, want)
+            assert z.euclidean.shape == (2,) and z.manifold.shape == (2, 3)
+        c = x.copy()
+        c.manifold[0, 0] += 1.0
+        assert not np.shares_memory(c.data, x.data)
+        assert c.manifold[0, 0] == x.manifold[0, 0] + 1.0
+
+    def test_unpack_shares_memory(self, rng):
+        geom = Geometry(BoxBounds.unbounded(2), Sphere(3))
+        x = geom.random_tangent(geom.random_point(rng), rng)
+        v = geom.unpack(x.data)
+        assert v.data is x.data
+        v.manifold[0] = 5.0
+        assert x.manifold[0] == 5.0
+
+    def test_check_rejects_wrong_layout(self):
+        geom = Geometry(BoxBounds.unbounded(2), Sphere(3))
+        p = ProductPoint(np.zeros(2), e(0, 3))
+        good = ProductTangent(np.zeros(2), e(1, 3))
+        assert geom.inner(p, good, good) == 1.0
+        for bad in (
+            ProductTangent(np.zeros(3), e(1, 3)),  # box width
+            ProductTangent(np.zeros(5)),  # manifold part missing
+            ProductTangent(np.zeros(0), np.zeros(5)),  # same width, wrong split
+        ):
+            with pytest.raises(ValueError):
+                geom.inner(p, good, bad)
+        with pytest.raises(ValueError):  # manifold part extra
+            Geometry(BoxBounds.unbounded(2)).inner(p, good, good)
+        with pytest.raises(ValueError):  # point without its manifold part
+            geom.retract(ProductPoint(np.zeros(2)), good)
 
 
 class TestRetract:

@@ -135,7 +135,7 @@ class TestTransportMemory:
             if not mem.push(geom, p, s, y):
                 continue
             step = 3.0 * geom.random_tangent(p, rng)
-            rows = np.array([geom.pack(s), geom.pack(y)])
+            rows = np.array([s.data, y.data])
             geom.transport(p, step, rows)
             s2, y2 = rows
             if s2 @ y2 < 1e-3 * (y2 @ y2):

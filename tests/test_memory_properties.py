@@ -54,7 +54,7 @@ def cases(draw, kinds=("box", "sphere", "stiefel")):
 def weight(geom, mask):
     """The 0/1 packed weight: 1 on free box coordinates and the manifold part."""
     ones = None if geom.manifold is None else np.ones(geom.manifold.shape)
-    return geom.pack(ProductTangent(mask.astype(float), ones))
+    return ProductTangent(mask.astype(float), ones).data
 
 
 def per_vector_transport(geom, p, step, v):
@@ -67,8 +67,8 @@ def per_vector_transport(geom, p, step, v):
 
 def assert_matches_at(geom, q, got, want):
     """``got`` equals ``want`` to 1e-12 and is tangent at ``q``."""
-    scale = 1.0 + np.max(np.abs(geom.pack(want)))
-    assert np.max(np.abs(geom.pack(got) - geom.pack(want))) <= 1e-12 * scale
+    scale = 1.0 + np.max(np.abs(want.data))
+    assert np.max(np.abs(got.data - want.data)) <= 1e-12 * scale
     assert geom.tangency_residual(q, got) <= 1e-10 * scale
 
 
@@ -76,7 +76,7 @@ def dense_masked_inverse(geom, mem, w):
     """Inverse BFGS from the masked pairs that pass the curvature test."""
     pairs = []
     for pr in mem.pairs:
-        s, y = w * geom.pack(pr.s), w * geom.pack(pr.y)
+        s, y = w * pr.s.data, w * pr.y.data
         sy, yy = s @ y, y @ y
         if yy > 0 and sy >= mem.curvature_eps * yy:
             pairs.append((s, y, sy, yy))
@@ -99,8 +99,8 @@ def test_masked_inverse_matches_dense_oracle(case):
     x = geom.random_tangent(p, rng)
     w = weight(geom, mask)
     binv = dense_masked_inverse(geom, mem, w)
-    v = w * geom.pack(x)
-    got = geom.pack(mem.apply_inverse(geom, p, x, free_mask=mask))
+    v = w * x.data
+    got = mem.apply_inverse(geom, p, x, free_mask=mask).data
     tol = 1e-9 * (1.0 + np.linalg.norm(binv, 2) * np.linalg.norm(v))
     assert np.linalg.norm(got - binv @ v) <= tol
 
@@ -111,7 +111,7 @@ def test_masked_inverse_descends_on_the_face(case):
     geom, p, mem, rng, mask = case
     x = geom.random_tangent(p, rng)
     x.euclidean[~mask] = 0.0
-    assume(np.any(geom.pack(x) != 0.0))
+    assume(np.any(x.data != 0.0))
     out = mem.apply_inverse(geom, p, x, free_mask=mask)
     assert np.all(out.euclidean[~mask] == 0.0)
     assert geom.inner(p, x, out) > 0.0
@@ -124,7 +124,7 @@ def test_all_free_mask_equals_no_mask(case):
     x = geom.random_tangent(p, rng)
     full = mem.apply_inverse(geom, p, x)
     masked = mem.apply_inverse(geom, p, x, free_mask=np.ones(geom.box.n, dtype=bool))
-    np.testing.assert_array_equal(geom.pack(masked), geom.pack(full))
+    np.testing.assert_array_equal(masked.data, full.data)
 
 
 @SETTINGS
@@ -206,8 +206,8 @@ def test_middle_matrix_inverts_block_matrix(case):
     assume(mem.size > 0)
     pairs = mem.pairs
     d = np.array([pr.sy for pr in pairs])
-    s = np.array([geom.pack(pr.s) for pr in pairs])
-    y = np.array([geom.pack(pr.y) for pr in pairs])
+    s = np.array([pr.s.data for pr in pairs])
+    y = np.array([pr.y.data for pr in pairs])
     low = np.tril(s @ y.T, -1)
     block = np.block([[-np.diag(d), low.T], [low, mem.theta * (s @ s.T)]])
     residual = mem.middle_matrix() @ block - np.eye(2 * mem.size)
@@ -231,8 +231,8 @@ def test_transported_memory_reads_a_fresh_middle_matrix(case, scale):
         return
     pairs = mem.pairs
     d = np.array([pr.sy for pr in pairs])
-    s = np.array([geom.pack(pr.s) for pr in pairs])
-    y_ = np.array([geom.pack(pr.y) for pr in pairs])
+    s = np.array([pr.s.data for pr in pairs])
+    y_ = np.array([pr.y.data for pr in pairs])
     low = np.tril(s @ y_.T, -1)
     block = np.block([[-np.diag(d), low.T], [low, mem.theta * (s @ s.T)]])
     residual = mem.middle_matrix() @ block - np.eye(2 * mem.size)
