@@ -55,6 +55,8 @@ print("\nbreakpoint times per coordinate:", bps.times)
 
 outcome = rb.generalized_cauchy_direction(geom, p, grad, d, rb.LbfgsMemory(), np.inf)
 print("Cauchy direction:", outcome.direction.euclidean)
-print("status:", outcome.status.value, "| line-search cap t_max =", outcome.t_max)
+# FOUND_LIMITED: a finite breakpoint lies on the path, so the line search
+# may try multipliers of the direction up to 1 and no further.
+print("status:", outcome.status.value, "| largest line-search multiplier t_max =", outcome.t_max)
 print("coordinate 2 stops exactly at its bound:",
       p.euclidean[1] + outcome.direction.euclidean[1])

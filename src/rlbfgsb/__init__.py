@@ -36,7 +36,7 @@ from .geometry import (
     Sphere,
     Stiefel,
 )
-from .linesearch import LineSearchConfig, LineSearchError, armijo_capped
+from .linesearch import LineSearchError, armijo_capped
 from .memory import LbfgsMemory, MemoryPair, SingularMiddleMatrix, make_pair
 from .problems import (
     BssInstance,
@@ -73,7 +73,6 @@ __all__ = [
     "Geometry",
     "GeometryError",
     "LbfgsMemory",
-    "LineSearchConfig",
     "LineSearchError",
     "Manifold",
     "MemoryPair",

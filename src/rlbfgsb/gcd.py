@@ -20,7 +20,10 @@ breakpoints actually crossed rather than the box dimension.
 The search is capped by a sentinel breakpoint at the manifold's maximum
 step size.  The returned direction is ``t_* d`` with every coordinate whose
 bound was passed clamped to the exact bound offset, together with a status
-flag and the largest multiplier the subsequent line search may apply.
+flag.  The status fixes the largest multiplier of that direction the line
+search may try: 1 when the path has a finite box breakpoint (the direction
+ends at or before the next bound it would cross, so the unit step is
+feasible and a longer one may not be), and unbounded when it has none.
 """
 
 from __future__ import annotations
@@ -54,16 +57,21 @@ class GcdStatus(Enum):
 
 @dataclass
 class GcdOutcome:
-    """Result of the search: direction, status, and the line-search cap.
-
-    ``t_max`` is ``-1`` when nothing was found, ``+inf`` when no finite box
-    breakpoint exists, and at least ``1`` otherwise (the unit step is always
-    admissible).
-    """
+    """Result of the search: the direction and how it was found."""
 
     direction: ProductTangent
     status: GcdStatus
-    t_max: float
+
+    @property
+    def t_max(self) -> float:
+        """Largest multiplier of ``direction`` the line search may try.
+
+        ``1`` when the path has a finite box breakpoint, ``+inf`` when it
+        has none, and ``0`` when no direction was found.
+        """
+        if self.status is GcdStatus.FOUND_LIMITED:
+            return 1.0
+        return np.inf if self.status is GcdStatus.FOUND_UNLIMITED else 0.0
 
 
 # Breakpoints sorted by the first chunk of the walk; later chunks double it.
@@ -208,9 +216,9 @@ def generalized_cauchy_direction(
     ``d`` may be any descent direction; ``p`` must be feasible, with ``d``
     already projected onto the tangent cone so that no coordinate sits on a
     bound pointing outward.  Degenerate data (zero slope or curvature, or a
-    nonpositive minimizer) yields ``NOT_FOUND`` with the zero direction and
-    ``t_max = -1``; the caller is then expected to discard its curvature
-    memory and retry along the projected steepest descent direction.
+    nonpositive minimizer) yields ``NOT_FOUND`` with the zero direction; the
+    caller is then expected to discard its curvature memory and retry along
+    the projected steepest descent direction.
     """
     if t_manifold_max is None:
         t_manifold_max = geom.max_stepsize(p)
@@ -218,18 +226,15 @@ def generalized_cauchy_direction(
     x, d_eu, g_eu = p.euclidean, d.euclidean, grad.euclidean
     bps = compute_breakpoints(bounds, x, d_eu, t_manifold_max)
 
-    not_found = GcdOutcome(geom.zero_tangent(p), GcdStatus.NOT_FOUND, -1.0)
-
     f1 = geom.inner(p, grad, d)
     f2 = mem.pairing(geom, p, d, d)
     if f1 == 0.0 or f2 == 0.0:
-        return not_found
+        return GcdOutcome(geom.zero_tangent(p), GcdStatus.NOT_FOUND)
     dt_min = -f1 / f2
 
     walk = bps.walk()
     t_old = 0.0
     t, b = next(walk)
-    t_nearest = t  # min(t_manifold_max, nearest box breakpoint)
     dt = t
     qs = surrogate_init(mem, geom, p, d)
 
@@ -256,7 +261,7 @@ def generalized_cauchy_direction(
 
     t_star = t_old + max(0.0, dt_min)
     if t_star <= 0.0:
-        return not_found
+        return GcdOutcome(geom.zero_tangent(p), GcdStatus.NOT_FOUND)
 
     direction = t_star * d
     passed = bps.times < t  # components fixed at their bound before the last one walked
@@ -276,6 +281,5 @@ def generalized_cauchy_direction(
             eu[under] = np.nextafter(eu[under], np.inf)
             under = x + eu < bounds.lower
 
-    if bps.candidates.size:
-        return GcdOutcome(direction, GcdStatus.FOUND_LIMITED, max(1.0, t_nearest / t_star))
-    return GcdOutcome(direction, GcdStatus.FOUND_UNLIMITED, np.inf)
+    status = GcdStatus.FOUND_LIMITED if bps.candidates.size else GcdStatus.FOUND_UNLIMITED
+    return GcdOutcome(direction, status)

@@ -6,16 +6,20 @@ along it, and take an Armijo step within the interval the search allows,
 at the point the search retracted to; one batched transport carries the
 memory, step and old gradient there, and the new update pair is admitted.
 
-Degenerate situations (no Cauchy direction, failed line search, singular
-middle matrix) discard the curvature memory and retry the iteration once
-along the projected steepest-descent direction before giving up.
+The state keeps the projected steepest-descent direction of its iterate,
+the tangent-cone projection of the negative gradient: the quasi-Newton
+direction starts from it, its norm is the stationarity measure, and it is
+the fallback direction.  A missing Cauchy direction or a failed line search
+discards the curvature memory and retries the iteration once along that
+fallback before giving up; a singular middle matrix discards the memory
+after the step.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -23,7 +27,7 @@ import numpy as np
 
 from .gcd import GcdStatus, generalized_cauchy_direction
 from .geometry import Geometry, ProductPoint, ProductTangent
-from .linesearch import LineSearchConfig, LineSearchError, armijo_capped
+from .linesearch import LineSearchError, armijo_capped
 from .memory import LbfgsMemory, SingularMiddleMatrix, make_pair
 from .problems import Problem
 
@@ -54,8 +58,6 @@ class SolverOptions:
     pg_tolerance: float = 1e-6
     cost_change_factor: float = 1000.0
     max_iterations: int = 1000
-    curvature_eps: float = 1e-8
-    line_search: LineSearchConfig = field(default_factory=LineSearchConfig)
 
     def __post_init__(self):
         if self.memory_capacity < 1:
@@ -64,8 +66,6 @@ class SolverOptions:
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.curvature_eps <= 0:
-            raise ValueError("curvature_eps must be positive")
 
 
 @dataclass
@@ -81,12 +81,14 @@ class SolverResult:
 
 @dataclass
 class SolverState:
+    """The current iterate; ``steepest`` is the cone projection of ``-grad`` there."""
+
     point: ProductPoint
     grad: ProductTangent
+    steepest: ProductTangent
     cost: float
     memory: LbfgsMemory
     iteration: int = 0
-    prev_cost: Optional[float] = None
 
 
 @dataclass
@@ -124,11 +126,12 @@ def init_state(problem: Problem, p0: ProductPoint, options: SolverOptions) -> So
     grad = problem.gradient(p0)
     if not np.isfinite(grad.data).all():
         raise ValueError("gradient at the initial point is not finite")
-    memory = LbfgsMemory(options.memory_capacity, options.curvature_eps)
-    return SolverState(point=p0.copy(), grad=grad, cost=cost, memory=memory)
+    memory = LbfgsMemory(options.memory_capacity)
+    steepest = geom.project_tangent_cone(p0, -grad)
+    return SolverState(p0.copy(), grad, steepest, cost, memory)
 
 
-def _cauchy_direction(state: SolverState, geom: Geometry, steepest: bool):
+def _cauchy_direction(state: SolverState, geom: Geometry, reset: bool):
     """Projected search direction and its Cauchy outcome.
 
     The quasi-Newton direction applies the inverse operator to the projected
@@ -136,20 +139,17 @@ def _cauchy_direction(state: SolverState, geom: Geometry, steepest: bool):
     (see :meth:`LbfgsMemory.apply_inverse`); applied to the raw gradient
     instead, the operator couples the large gradient components of the
     active bounds into the free coordinates and routinely emits ascent
-    directions near bound-active optima.  With ``steepest`` the memory is
-    bypassed and the projected negative gradient is used directly (the
-    memory has just been reset then).
+    directions near bound-active optima.  With ``reset`` (the memory has
+    just been reset) the projected negative gradient is used directly.
     """
-    p, g = state.point, state.grad
-    descent = -g
-    d = geom.project_tangent_cone(p, descent)
-    if not steepest:
+    p, d = state.point, state.steepest
+    if not reset:
         # The projection zeroes exactly the active components, which are
         # nonzero in the finite -g, and leaves every free one as it was.
-        free = d.euclidean == descent.euclidean
+        free = d.euclidean == -state.grad.euclidean
         d = state.memory.apply_inverse(geom, p, d, free_mask=free)
         d = geom.project_tangent_cone(p, d)
-    return generalized_cauchy_direction(geom, p, g, d, state.memory)
+    return generalized_cauchy_direction(geom, p, state.grad, d, state.memory)
 
 
 def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepReport:
@@ -159,44 +159,38 @@ def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepRe
     when no descent direction is left even after a memory reset (the
     projected gradient vanishes), when the line search fails for good, or
     when the accepted cost or gradient is not finite.  Otherwise the state
-    holds the accepted point, its gradient and cost, and the moved memory.
+    holds the accepted point with its gradient, projected steepest-descent
+    direction and cost, and the moved memory.
     """
     geom = problem.geometry
     report = StepReport()
 
-    outcome = _cauchy_direction(state, geom, steepest=False)
-    if outcome.status is GcdStatus.NOT_FOUND:
+    reset = False
+    while True:
+        outcome = _cauchy_direction(state, geom, reset)
+        if outcome.status is GcdStatus.NOT_FOUND:
+            failure = Termination.PG_TOLERANCE
+        else:
+            slope = geom.inner(state.point, state.grad, outcome.direction)
+            try:
+                alpha, f_new, _, p_new = armijo_capped(
+                    problem.cost,
+                    geom,
+                    state.point,
+                    outcome.direction,
+                    state.cost,
+                    slope,
+                    outcome.t_max,
+                )
+                break
+            except LineSearchError:
+                failure = Termination.LINE_SEARCH_FAILURE
+        if reset:
+            report.stop = failure
+            return report
         state.memory.reset()
         report.memory_resets += 1
-        outcome = _cauchy_direction(state, geom, steepest=True)
-        if outcome.status is GcdStatus.NOT_FOUND:
-            report.stop = Termination.PG_TOLERANCE
-            return report
-
-    for attempt in range(2):
-        slope = geom.inner(state.point, state.grad, outcome.direction)
-        try:
-            alpha, f_new, _, p_new = armijo_capped(
-                problem.cost,
-                geom,
-                state.point,
-                outcome.direction,
-                state.cost,
-                slope,
-                outcome.t_max,
-                options.line_search,
-            )
-            break
-        except LineSearchError:
-            if attempt == 1 or report.memory_resets > 0:
-                report.stop = Termination.LINE_SEARCH_FAILURE
-                return report
-            state.memory.reset()
-            report.memory_resets += 1
-            outcome = _cauchy_direction(state, geom, steepest=True)
-            if outcome.status is GcdStatus.NOT_FOUND:
-                report.stop = Termination.PG_TOLERANCE
-                return report
+        reset = True
 
     grad_new = problem.gradient(p_new) if math.isfinite(f_new) else None
     if grad_new is None or not np.isfinite(grad_new.data).all():
@@ -214,9 +208,9 @@ def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepRe
         state.memory.reset()
         report.memory_resets += 1
 
-    state.prev_cost = state.cost
     state.point = p_new
     state.grad = grad_new
+    state.steepest = geom.project_tangent_cone(p_new, -grad_new)
     state.cost = f_new
     state.iteration += 1
 
@@ -258,7 +252,7 @@ def solve(
     state = init_state(counted, p0, opts)
     geom = problem.geometry
 
-    pg = projected_gradient_norm(geom, state.point, state.grad)
+    pg = geom.norm(state.point, state.steepest)
     if callback is not None:
         callback(0, state.point, state.cost, pg)
 
@@ -267,16 +261,16 @@ def solve(
     for _ in range(opts.max_iterations):
         if pg <= opts.pg_tolerance:
             break
+        prev_cost = state.cost
         report = step(state, counted, opts)
         if report.stop is not None:
             termination = report.stop
             break
-        pg = projected_gradient_norm(geom, state.point, state.grad)
+        pg = geom.norm(state.point, state.steepest)
         if callback is not None:
             callback(state.iteration, state.point, state.cost, pg)
-        assert state.prev_cost is not None
-        decrease = state.prev_cost - state.cost
-        scale = max(abs(state.prev_cost), abs(state.cost), 1.0)
+        decrease = prev_cost - state.cost
+        scale = max(abs(prev_cost), abs(state.cost), 1.0)
         if decrease <= opts.cost_change_factor * eps * scale:
             termination = Termination.COST_STAGNATION
             break

@@ -230,7 +230,7 @@ class TestCauchyDirectionExamples:
         )
         assert out.status is GcdStatus.FOUND_LIMITED
         assert_allclose(out.direction.euclidean, [-1.0])
-        assert out.t_max == 2.0
+        assert out.t_max == 1.0  # a finite breakpoint allows no expansion
 
     def test_orthogonal_gradient_not_found(self):
         geom = box_geometry([-1.0, -1.0], [1.0, 1.0])
@@ -239,7 +239,7 @@ class TestCauchyDirectionExamples:
             geom, p, ProductTangent([1.0, 0.0]), ProductTangent([0.0, -1.0]), LbfgsMemory(), np.inf
         )
         assert out.status is GcdStatus.NOT_FOUND
-        assert out.t_max == -1.0
+        assert out.t_max == 0.0
         assert np.linalg.norm(out.direction.euclidean) == 0.0
 
     def test_unbounded_direction_unlimited(self):
@@ -328,25 +328,9 @@ class TestCauchyDirectionProperties:
             out = generalized_cauchy_direction(geom, p, grad, d, mem, np.inf)
             if out.status is not GcdStatus.FOUND_LIMITED:
                 continue
-            assert out.t_max >= 1.0
+            assert out.t_max == 1.0
             q = geom.retract(p, 1.0 * out.direction)
             assert geom.box.violation(q.euclidean) == 0.0
-
-    def test_cap_is_sharp(self, rng):
-        # beyond t_max some coordinate must leave the box (before clipping)
-        seen = 0
-        for _ in range(500):
-            geom, p, grad, d, mem = random_box_instance(rng)
-            out = generalized_cauchy_direction(geom, p, grad, d, mem, np.inf)
-            if out.status is not GcdStatus.FOUND_LIMITED or not np.isfinite(out.t_max):
-                continue
-            at_cap = p.euclidean + out.t_max * out.direction.euclidean
-            assert geom.box.violation(at_cap) <= 1e-9
-            if out.t_max > 1.0:
-                beyond = p.euclidean + (1.01 * out.t_max) * out.direction.euclidean
-                assert geom.box.violation(beyond) > 0.0
-                seen += 1
-        assert seen > 10
 
     def test_not_found_zero_direction(self, rng):
         geom = box_geometry([-1.0], [1.0])

@@ -7,12 +7,12 @@ import rlbfgsb as rb
 from rlbfgsb import (
     BoxBounds,
     Geometry,
-    LineSearchConfig,
     LineSearchError,
     ProductPoint,
     ProductTangent,
     armijo_capped,
 )
+from rlbfgsb.linesearch import ARMIJO_C1, MAX_EVALS
 
 
 def quad_cost(p):
@@ -45,10 +45,9 @@ def test_steep_valley_contracts():
     p = ProductPoint([1.0])
     d = ProductTangent([-2.0])  # overshoots the valley floor at unit step
     f0, slope = 100.0, -400.0
-    cfg = LineSearchConfig()
-    alpha, f_new, _, _ = armijo_capped(cost, GEOM, p, d, f0, slope, np.inf, cfg)
+    alpha, f_new, _, _ = armijo_capped(cost, GEOM, p, d, f0, slope, np.inf)
     assert 0.0 < alpha < 1.0
-    assert f_new <= f0 + cfg.armijo_c1 * alpha * slope
+    assert f_new <= f0 + ARMIJO_C1 * alpha * slope
 
 
 def test_expansion_when_unlimited():
@@ -61,12 +60,15 @@ def test_expansion_when_unlimited():
     assert f_new < 50.0
 
 
-def test_no_expansion_when_capped():
+def test_expansion_stops_at_cap():
+    # the minimizer at 10 lies past every cap: doubling stops at the cap
     cost = lambda p: 0.5 * float((p.euclidean[0] - 10.0) ** 2)
     p = ProductPoint([0.0])
     d = ProductTangent([1.0])
-    alpha, _, _, _ = armijo_capped(cost, GEOM, p, d, 50.0, -10.0, 4.0)
-    assert alpha == 1.0
+    for cap, want in ((1.0, 1.0), (3.0, 2.0), (4.0, 4.0), (0.25, 0.25)):
+        alpha, _, evals, _ = armijo_capped(cost, GEOM, p, d, 50.0, -10.0, cap)
+        assert alpha == want
+        assert evals == 1 + int(np.log2(want / min(1.0, cap)))
 
 
 def test_alpha_never_exceeds_t_max(rng):
@@ -96,13 +98,14 @@ def test_nonnegative_slope_raises():
 
 
 def test_exhausted_budget_raises():
-    # cost never decreases along d: slope lies about the landscape
-    cost = lambda p: float(abs(p.euclidean[0])) + 1.0
+    # cost rises at every nonzero step along d: slope lies about the landscape
+    cost = lambda p: 1.0 + float(p.euclidean[0] != 0.0)
     p = ProductPoint([0.0])
     d = ProductTangent([1.0])
-    cfg = LineSearchConfig(max_evals=10)
+    evals = []
     with pytest.raises(LineSearchError):
-        armijo_capped(cost, GEOM, p, d, 1.0, -1.0, np.inf, cfg)
+        armijo_capped(lambda q: evals.append(1) or cost(q), GEOM, p, d, 1.0, -1.0, np.inf)
+    assert len(evals) == MAX_EVALS
 
 
 def test_nan_cost_keeps_contracting():
@@ -116,15 +119,6 @@ def test_nan_cost_keeps_contracting():
     assert np.isfinite(f_new)
     assert alpha <= 0.0625
     assert f_new < 0.5
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        LineSearchConfig(armijo_c1=1.5)
-    with pytest.raises(ValueError):
-        LineSearchConfig(contraction=1.0)
-    with pytest.raises(ValueError):
-        LineSearchConfig(expansion=0.5)
 
 
 def test_minus_inf_cost_ends_the_expansion():

@@ -408,3 +408,96 @@ class TestOneRetractionPerEvaluation:
         assert sum(r.memory_resets for r in reports) >= 1
         assert res.iterations >= 5
         assert len(retractions) == res.cost_evals - 1
+
+
+class TestResetPaths:
+    """The reset-and-retry paths of one step, forced by failing chosen calls."""
+
+    CASES = {
+        # name: (Cauchy calls that find nothing, line-search calls that fail,
+        #        expected stop)
+        "not-found-then-found": ({1}, set(), None),
+        "not-found-twice": ({1, 2}, set(), Termination.PG_TOLERANCE),
+        "line-search-fails-once": (set(), {1}, None),
+        "line-search-fails-twice": (set(), {1, 2}, Termination.LINE_SEARCH_FAILURE),
+        "line-search-fails-then-not-found": ({2}, {1}, Termination.PG_TOLERANCE),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_reset_then_retry_along_steepest_descent(self, monkeypatch, case):
+        gcd_fails, ls_fails, stop = self.CASES[case]
+        prob = rosenbrock()
+        geom = prob.geometry
+        state = init_state(prob, ProductPoint([-1.2, 1.0]), SolverOptions())
+        for _ in range(3):
+            step(state, prob, SolverOptions())
+        assert state.memory.size > 0
+        before = (state.point.copy(), state.grad.copy(), state.cost, state.iteration)
+        steepest = geom.project_tangent_cone(state.point, -state.grad)
+
+        real_gcd, real_ls = rb.solver.generalized_cauchy_direction, rb.solver.armijo_capped
+        gcd_calls, ls_calls = [], []
+
+        def gcd(geom, p, grad, d, mem, *rest):
+            gcd_calls.append((d.copy(), mem.size))
+            if len(gcd_calls) in gcd_fails:  # a zero direction has no Cauchy point
+                d = geom.zero_tangent(p)
+            return real_gcd(geom, p, grad, d, mem, *rest)
+
+        def armijo(*args):
+            ls_calls.append(1)
+            if len(ls_calls) in ls_fails:
+                raise rb.LineSearchError("forced")
+            return real_ls(*args)
+
+        monkeypatch.setattr(rb.solver, "generalized_cauchy_direction", gcd)
+        monkeypatch.setattr(rb.solver, "armijo_capped", armijo)
+        report = step(state, prob, SolverOptions())
+
+        assert report.stop is stop
+        assert report.memory_resets == 1
+        assert len(gcd_calls) == 2
+        retry_d, retry_size = gcd_calls[1]
+        assert retry_size == 0
+        np.testing.assert_array_equal(retry_d.data, steepest.data)
+        if stop is None:
+            assert state.iteration == before[3] + 1
+            assert state.cost < before[2]
+            return
+        point, grad, cost, iteration = before
+        np.testing.assert_array_equal(state.point.euclidean, point.euclidean)
+        np.testing.assert_array_equal(state.grad.data, grad.data)
+        assert (state.cost, state.iteration, state.memory.size) == (cost, iteration, 0)
+
+
+class TestCallCounts:
+    def test_two_cone_projections_per_iteration(self, monkeypatch):
+        # one for the quasi-Newton direction, one for the new iterate's -grad
+        projections, reports = [], []
+        spy(monkeypatch, Geometry, "project_tangent_cone", projections)
+        spy(monkeypatch, rb.solver, "step", reports)
+        bss = bss_problem(synth_bss(k=3, r=3, n=10, amplitude=1.0, seed=0, lam=0.1))
+        for prob, p0 in ((bss, bss.initial_point), random_rayleigh(30, 0)):
+            projections.clear()
+            reports.clear()
+            res = solve(prob, p0)
+            assert res.iterations >= 20
+            assert sum(r.memory_resets for r in reports) == 0
+            assert len(projections) <= 2 * res.iterations + 1
+
+    def test_box_suite_counts_pinned(self):
+        # Changes to the algorithm that move these must update the pin and
+        # list the per-problem diffs.
+        pinned = {
+            "BRANIN": (8, 11, 9),
+            "CAMEL6": (10, 12, 11),
+            "HS4": (1, 2, 2),
+            "HS5": (7, 9, 8),
+            "HS38": (23, 27, 24),
+            "HS45": (26, 27, 27),
+        }
+        got = {}
+        for prob in euclidean_suite():
+            res = solve(prob, prob.initial_point)
+            got[prob.name] = (res.iterations, res.cost_evals, res.grad_evals)
+        assert got == pinned
