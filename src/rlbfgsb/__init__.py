@@ -56,7 +56,6 @@ from .solver import (
     StepReport,
     Termination,
     init_state,
-    projected_gradient_norm,
     solve,
     step,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "load_class_csv",
     "make_pair",
     "projected_gradient",
-    "projected_gradient_norm",
     "segment_values",
     "solve",
     "step",

@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from .geometry import ProductPoint
+from .linesearch import ARMIJO_C1, CONTRACTION
 from .problems import Problem
 
 __all__ = ["projected_gradient"]
@@ -25,13 +26,12 @@ def projected_gradient(
     max_iterations: int = 100_000,
     pg_tolerance: float = 1e-6,
     time_budget_s: float | None = None,
-    armijo_c1: float = 1e-4,
-    contraction: float = 0.5,
 ) -> tuple[ProductPoint, float, int]:
     """Minimize by projected steepest descent; returns (point, cost, iterations).
 
     Stops at the projected-gradient tolerance, the iteration cap, or once the
-    wall-clock budget (if given) is spent.
+    wall-clock budget (if given) is spent.  Backtracking uses the line-search
+    module's sufficient-decrease constant and contraction factor.
     """
     geom = problem.geometry
     p = p0.copy()
@@ -53,11 +53,11 @@ def projected_gradient(
         for _ in range(60):
             cand = geom.retract(p, alpha * d)
             f_cand = float(problem.cost(cand))
-            if f_cand <= f + armijo_c1 * alpha * slope:
+            if f_cand <= f + ARMIJO_C1 * alpha * slope:
                 p, f = cand, f_cand
                 accepted = True
                 break
-            alpha *= contraction
+            alpha *= CONTRACTION
         if not accepted:
             break
     return p, f, it

@@ -11,11 +11,13 @@ is piecewise quadratic in ``t``; this module locates its first local
 minimizer ``t_*`` by walking the breakpoints in time order and updating the
 segment slope ``f'`` and curvature ``f''`` incrementally.  Each breakpoint
 crossing needs only three Hessian values, all cheap in the compact
-limited-memory representation; the running coefficient vectors live in
-:class:`SegmentState`.  The breakpoint times come from one vectorized
-expression, and the walk partitions off the next few smallest and sorts only
-those, doubling the chunk when it runs out, so its cost follows the
-breakpoints actually crossed rather than the box dimension.
+limited-memory representation; :class:`SegmentState` carries the two
+running coefficient vectors, of the path point and of the moving direction,
+in the layout :meth:`LbfgsMemory.coefficients` defines.  The breakpoint
+times come from one vectorized expression, and the walk partitions off the
+next few smallest and sorts only those, doubling the chunk when it runs
+out, so its cost follows the breakpoints actually crossed rather than the
+box dimension.
 
 The search is capped by a sentinel breakpoint at the manifold's maximum
 step size.  The returned direction is ``t_* d`` with every coordinate whose
@@ -151,30 +153,21 @@ def compute_breakpoints(
 class SegmentState:
     """Coefficient vectors carried across segments.
 
-    ``p_y/p_s`` are the coefficients of the still-moving direction, and
-    ``c_y/c_s`` those of the accumulated path point; both against the stored
-    memory pairs (``c`` starts at zero, ``p`` at the coefficients of ``d``).
+    ``c = W(x_c - x)`` are the coefficients of the accumulated path point and
+    ``p = W d_hat`` those of the still-moving direction, both in the layout of
+    :meth:`LbfgsMemory.coefficients` (``c`` starts at zero, ``p`` at ``W d``).
     """
 
-    c_y: np.ndarray
-    c_s: np.ndarray
-    p_y: np.ndarray
-    p_s: np.ndarray
+    c: np.ndarray
+    p: np.ndarray
 
 
 def surrogate_init(
     mem: LbfgsMemory, geom: Geometry, p: ProductPoint, d: ProductTangent
 ) -> SegmentState:
-    """Start-of-path coefficient vectors for the segment walk."""
-    mu = mem.size
-    if not mu:  # a memory that never stored a pair does not know the tangent width
-        return SegmentState(*(np.zeros(0) for _ in range(4)))
-    return SegmentState(
-        c_y=np.zeros(mu),
-        c_s=np.zeros(mu),
-        p_y=mem.Y @ d.data,
-        p_s=mem.theta * (mem.S @ d.data),
-    )
+    """Start-of-path coefficient vectors: ``c = 0`` and ``p = W d``."""
+    p_coef = mem.coefficients(d.data)
+    return SegmentState(c=np.zeros_like(p_coef), p=p_coef)
 
 
 def segment_values(
@@ -192,14 +185,11 @@ def segment_values(
     ``v2 = <e_b, H[dhat]>`` (``dhat`` the direction active on the segment of
     length ``dt`` that just ended).
     """
-    state.c_y += dt * state.p_y
-    state.c_s += dt * state.p_s
-    theta = mem.theta
-    xi_y, xi_s = (mem.Y[:, b], theta * mem.S[:, b]) if mem.size else (np.zeros(0),) * 2
-    v1 = theta * t * d_b - mem.m_bilinear(xi_y, xi_s, state.c_y, state.c_s)
-    v2 = theta * d_b - mem.m_bilinear(xi_y, xi_s, state.p_y, state.p_s)
-    state.p_y -= d_b * xi_y
-    state.p_s -= d_b * xi_s
+    state.c += dt * state.p
+    w_b = mem.basis_coefficients(b)
+    v1 = mem.theta * t * d_b - mem.bilinear(w_b, state.c)
+    v2 = mem.theta * d_b - mem.bilinear(w_b, state.p)
+    state.p -= d_b * w_b
     return v1, v2
 
 
@@ -232,19 +222,18 @@ def generalized_cauchy_direction(
         return GcdOutcome(geom.zero_tangent(p), GcdStatus.NOT_FOUND)
     dt_min = -f1 / f2
 
-    walk = bps.walk()
     t_old = 0.0
-    t, b = next(walk)
-    dt = t
     qs = surrogate_init(mem, geom, p, d)
-
-    while True:
+    # The walk always ends with the sentinel, so the loop leaves by a break
+    # with t the time of the last breakpoint walked.
+    for t, b in bps.walk():
+        dt = t - t_old
         if not dt_min > dt:
             # Minimizer lies within the current segment.
             break
         if b == -1:
             # Manifold step-size sentinel: never search past it.
-            dt_min = min(dt_min, dt)
+            dt_min = dt
             break
         d_b = float(d_eu[b])
         g_b = float(g_eu[b])
@@ -256,8 +245,6 @@ def generalized_cauchy_direction(
             dt_min = 0.0
             break
         dt_min = -f1 / f2
-        t, b = next(walk)  # never exhausted: the loop stops at the sentinel
-        dt = t - t_old
 
     t_star = t_old + max(0.0, dt_min)
     if t_star <= 0.0:

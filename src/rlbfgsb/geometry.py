@@ -89,9 +89,9 @@ class BoxBounds:
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
         return np.clip(x, self.lower, self.upper)
 
-    def contains(self, x: np.ndarray, atol: float = 0.0) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def violation(self, x: np.ndarray) -> float:
         """Largest bound breach of ``x`` (0.0 when feasible)."""
@@ -303,42 +303,23 @@ def _qr_inverse_retract_cols(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Invert the QR retraction for orthonormal-columns matrices.
 
     Finds the tangent ``v`` at ``x`` with ``qf(x + v) = y`` by solving
-    ``A R + R^T A^T = 2 I`` (``A = x^T y``) for an upper-triangular ``R``
-    with positive diagonal, then ``v = y R - x``.  The triangularity
-    constraint is linear in the skew part of ``A R`` and is solved densely;
-    the system has ``k (k - 1) / 2`` unknowns for ``k`` columns.
+    ``A R + (A R)^T = 2 I`` (``A = x^T y``) for an upper-triangular ``R``
+    with positive diagonal, then ``v = y R - x``.  ``R`` is solved one column
+    at a time: column ``j`` satisfies the leading ``j + 1`` rows of the
+    equation, ``A[:j+1, :j+1] r = [-(A R)[j, :j], 1]``, whose right-hand side
+    involves only the earlier columns (Kaneko, Fiori and Tanaka, 2013).
     """
     k = x.shape[1]
     a = x.T @ y
     if abs(np.linalg.det(a)) < 1e-12:
         raise GeometryError("points outside the retraction's invertibility region")
-    g = np.linalg.inv(a)
-    if k == 1:
-        r = g  # scalar case: A R + R A = 2 -> R = 1 / A
-    else:
-        # Unknowns: strictly lower entries of skew S with R = G (I + S)
-        # upper triangular, i.e. tril(G S, -1) = -tril(G, -1).
-        idx = [(i, j) for j in range(k) for i in range(j + 1, k)]
-        m = len(idx)
-        sys_mat = np.zeros((m, m))
-        rhs = np.empty(m)
-        for row, (i, j) in enumerate(idx):
-            rhs[row] = -g[i, j]
-            for col, (aa, bb) in enumerate(idx):
-                # Basis element E = e_a e_b^T - e_b e_a^T; coefficient of
-                # (G E)_{ij} in the strictly-lower constraint.
-                coef = 0.0
-                if bb == j:
-                    coef += g[i, aa]
-                if aa == j:
-                    coef -= g[i, bb]
-                sys_mat[row, col] = coef
-        sol = np.linalg.solve(sys_mat, rhs)
-        s = np.zeros((k, k))
-        for val, (i, j) in zip(sol, idx):
-            s[i, j] = val
-            s[j, i] = -val
-        r = g @ (np.eye(k) + s)
+    r = np.zeros((k, k))
+    for j in range(k):
+        rhs = np.append(-(a[j] @ r[:, :j]), 1.0)
+        try:
+            r[: j + 1, j] = np.linalg.solve(a[: j + 1, : j + 1], rhs)
+        except np.linalg.LinAlgError:
+            raise GeometryError("points outside the retraction's invertibility region") from None
     if np.any(np.diag(r) <= 0):
         raise GeometryError("points outside the retraction's invertibility region")
     return y @ r - x
@@ -523,11 +504,12 @@ class Geometry:
             m = self.manifold.random_tangent(p.manifold, rng)
         return ProductTangent(eu, m)
 
-    def is_feasible(self, p: ProductPoint, atol: float = 0.0) -> bool:
+    def is_feasible(self, p: ProductPoint) -> bool:
+        """Exactly inside the box, and on the manifold to within ``1e-8``."""
         self._check(p)
-        ok = self.box.contains(p.euclidean, atol=atol)
+        ok = self.box.contains(p.euclidean)
         if ok and self.manifold is not None:
-            ok = self.manifold.membership_residual(p.manifold) <= max(atol, 1e-8)
+            ok = self.manifold.membership_residual(p.manifold) <= 1e-8
         return ok
 
     def membership_residual(self, p: ProductPoint) -> float:

@@ -5,9 +5,10 @@ The Hessian approximation is never materialized.  It is represented by up to
 tangent at the current iterate), a positive scaling ``theta``, and a small
 ``2 mu x 2 mu`` "middle matrix" ``M``:
 
-    <X, H[Y]> = theta <X, Y> - [Wy(X); Ws(X)]^T  M  [Wy(Y); Ws(Y)]
+    <X, H[Y]> = theta <X, Y> - W(X)^T  M  W(Y)
 
-with coefficient maps ``Wy(X)_i = <y_i, X>`` and ``Ws(X)_i = theta <s_i, X>``.
+with the coefficient map ``W(X) = [<y_i, X>; theta <s_i, X>]`` (the y-half
+first, then the theta-scaled s-half).
 ``M`` is the inverse of the block matrix ``[[-D, L^T], [L, Q]]`` where
 ``D = diag(<s_i, y_i>)``, ``Q = theta [<s_i, s_j>]`` and ``L`` is the strictly
 lower triangular part of ``[<s_i, y_j>]``.  The inverse is assembled from the
@@ -17,9 +18,12 @@ eigenvalues decide whether ``M`` is usable.
 
 The pairs are the rows of two ``(mu, N)`` arrays ``S`` and ``Y`` of packed
 tangents (:attr:`ProductTangent.data`), oldest first.  The Gram blocks are
-``S S^T`` and ``S Y^T``, the coefficients of ``X`` are ``Y X.data`` and
-``theta S X.data``, and those of the box basis vector ``e_b`` are the
-columns ``Y[:, b]`` and ``theta S[:, b]``.
+``S S^T`` and ``S Y^T``.  :class:`LbfgsMemory` alone knows the coefficient
+layout: :meth:`~LbfgsMemory.coefficients` maps a flat tangent to
+``W X = [Y X.data; theta S X.data]``, :meth:`~LbfgsMemory.basis_coefficients`
+gives column ``b`` of ``W`` (the coefficients of the basis vector ``e_b``),
+and :meth:`~LbfgsMemory.bilinear` evaluates ``a^T M b``.  An empty memory
+maps everything to the empty vector, so ``<X, H[Y]>`` is ``theta <X, Y>``.
 
 The inverse operator ``B = H^{-1}`` is applied with the classical two-loop
 recursion seeded with ``(1/theta) Id``; by the standard duality of the BFGS
@@ -267,26 +271,29 @@ class LbfgsMemory:
         """The ``2 mu x 2 mu`` inverse block matrix (a copy)."""
         return self._current_middle().copy()
 
-    def m_bilinear(
-        self, ay: np.ndarray, as_: np.ndarray, by: np.ndarray, bs: np.ndarray
-    ) -> float:
-        """Evaluate ``[ay; as]^T M [by; bs]`` against the middle matrix."""
-        left = np.concatenate([ay, as_])
-        right = np.concatenate([by, bs])
-        return float(left @ self._current_middle() @ right)
+    def coefficients(self, v: np.ndarray) -> np.ndarray:
+        """``W v = [Y v; theta S v]`` for the flat tangent ``v``; empty without pairs."""
+        if not self._size:
+            return np.zeros(0)
+        return np.concatenate([self.Y @ v, self.theta * (self.S @ v)])
+
+    def basis_coefficients(self, b: int) -> np.ndarray:
+        """Column ``b`` of ``W``: the coefficients of the basis vector ``e_b``."""
+        if not self._size:
+            return np.zeros(0)
+        return np.concatenate([self.Y[:, b], self.theta * self.S[:, b]])
+
+    def bilinear(self, a: np.ndarray, b: np.ndarray) -> float:
+        """``a^T M b`` for two coefficient vectors."""
+        return float(a @ self._current_middle() @ b)
 
     def pairing(
         self, geom: Geometry, p: ProductPoint, x: ProductTangent, y: ProductTangent
     ) -> float:
         """The Hessian-form value ``<x, H[y]>``; symmetric in its arguments."""
-        xv, yv = x.data, y.data
-        value = self.theta * float(xv @ yv)
-        if not self._size:
-            return value
-        S, Y = self.S, self.Y
-        return value - self.m_bilinear(
-            Y @ xv, self.theta * (S @ xv), Y @ yv, self.theta * (S @ yv)
-        )
+        wx = self.coefficients(x.data)
+        wy = wx if y is x else self.coefficients(y.data)
+        return self.theta * float(x.data @ y.data) - self.bilinear(wx, wy)
 
     def basis_diag(self, b: int, n: int | None = None) -> float:
         """``<e_b, H[e_b]>`` for the box basis vector ``e_b``, without forming it."""
@@ -294,11 +301,8 @@ class LbfgsMemory:
             raise IndexError(f"box coordinate {b} out of range [0, {n})")
         if b < 0:
             raise IndexError("box coordinate must be nonnegative")
-        if not self._size:
-            return self.theta
-        xi_y = self.Y[:, b]
-        xi_s = self.theta * self.S[:, b]
-        return self.theta - self.m_bilinear(xi_y, xi_s, xi_y, xi_s)
+        w = self.basis_coefficients(b)
+        return self.theta - self.bilinear(w, w)
 
     # ------------------------------------------------------------------
     # Inverse operator

@@ -38,7 +38,6 @@ __all__ = [
     "StepReport",
     "Termination",
     "init_state",
-    "projected_gradient_norm",
     "solve",
     "step",
 ]
@@ -109,11 +108,6 @@ class StepReport:
     pairs_dropped: int = 0
     pair_rejected: bool = False
     stop: Optional[Termination] = None
-
-
-def projected_gradient_norm(geom: Geometry, p: ProductPoint, grad: ProductTangent) -> float:
-    """Norm of the tangent-cone projection of the negative gradient."""
-    return geom.norm(p, geom.project_tangent_cone(p, -grad))
 
 
 def init_state(problem: Problem, p0: ProductPoint, options: SolverOptions) -> SolverState:

@@ -15,6 +15,7 @@ from rlbfgsb import (
     ProductPoint,
     ProductTangent,
     Sphere,
+    Stiefel,
     compute_breakpoints,
     generalized_cauchy_direction,
     segment_values,
@@ -76,7 +77,7 @@ class TestSurrogateInit:
         geom = box_geometry([-1.0], [1.0])
         p = ProductPoint([0.0])
         state = surrogate_init(LbfgsMemory(), geom, p, ProductTangent([1.0]))
-        for v in (state.c_y, state.c_s, state.p_y, state.p_s):
+        for v in (state.c, state.p):
             assert v.shape == (0,)
 
     def test_single_pair_inner_products(self):
@@ -87,10 +88,8 @@ class TestSurrogateInit:
         y = ProductTangent([1.0, 1.0])
         mem.push(geom, p, s, y)
         state = surrogate_init(mem, geom, p, s)
-        assert_allclose(state.p_s, [mem.theta * 1.0])
-        assert_allclose(state.p_y, [1.0])
-        assert_allclose(state.c_y, [0.0])
-        assert_allclose(state.c_s, [0.0])
+        assert_allclose(state.p, [1.0, mem.theta * 1.0])
+        assert_allclose(state.c, [0.0, 0.0])
 
     def test_matches_memory_coefficients(self, rng):
         geom = Geometry(BoxBounds.unbounded(4))
@@ -98,8 +97,9 @@ class TestSurrogateInit:
         mem = fill_memory(geom, p, rng, pushes=3)
         d = geom.random_tangent(p, rng)
         state = surrogate_init(mem, geom, p, d)
-        assert_allclose(state.p_y, [geom.inner(p, pr.y, d) for pr in mem.pairs])
-        assert_allclose(state.p_s, [mem.theta * geom.inner(p, pr.s, d) for pr in mem.pairs])
+        p_y = [geom.inner(p, pr.y, d) for pr in mem.pairs]
+        p_s = [mem.theta * geom.inner(p, pr.s, d) for pr in mem.pairs]
+        assert_allclose(state.p, p_y + p_s)
 
 
 def _walk_segments(geom, p, grad, d, mem):
@@ -128,14 +128,48 @@ def _walk_segments(geom, p, grad, d, mem):
 
 
 def _path_pieces(geom, p, d, t):
-    """Explicit moving direction and path point just after time ``t``."""
+    """Explicit moving direction and path point just after time ``t``.
+
+    The manifold part, if any, never stops: it is ``d_M`` in the direction
+    and ``t d_M`` in the path point.
+    """
     times = compute_breakpoints(geom.box, p.euclidean, d.euclidean).times
-    d_hat = ProductTangent(np.where(times > t, d.euclidean, 0.0))
+    d_m = d.manifold
+    d_hat = ProductTangent(np.where(times > t, d.euclidean, 0.0), d_m)
     z = ProductTangent(
         np.clip(p.euclidean + t * d.euclidean, geom.box.lower, geom.box.upper)
-        - p.euclidean
+        - p.euclidean,
+        None if d_m is None else t * d_m,
     )
     return d_hat, z
+
+
+def _check_segment_values_from_scratch(rng, manifold, hits_needed):
+    """Compare ``v1``/``v2`` of the walk with pairings of explicit path pieces."""
+    hits = 0
+    while hits < hits_needed:
+        n = 4
+        lower = -rng.random(n) - 0.1
+        upper = rng.random(n) + 0.1
+        geom = Geometry(BoxBounds(lower, upper), manifold)
+        p = geom.random_point(rng)
+        mem = fill_memory(geom, p, rng, pushes=2, capacity=2)
+        grad = geom.random_tangent(p, rng)
+        d = geom.random_tangent(p, rng)
+        zero_m = None if manifold is None else np.zeros(manifold.shape)
+        t_prev = 0.0
+        for t, b, v1, v2, _, _ in _walk_segments(geom, p, grad, d, mem):
+            e_b = np.zeros(n)
+            e_b[b] = 1.0
+            eb = ProductTangent(e_b, zero_m)
+            d_hat_prev, _ = _path_pieces(geom, p, d, t_prev)
+            _, z_next = _path_pieces(geom, p, d, t)
+            v1_ref = mem.pairing(geom, p, eb, z_next)
+            v2_ref = mem.pairing(geom, p, eb, d_hat_prev)
+            assert abs(v1 - v1_ref) <= 1e-10 * (1.0 + abs(v1_ref))
+            assert abs(v2 - v2_ref) <= 1e-10 * (1.0 + abs(v2_ref))
+            t_prev = t
+            hits += 1
 
 
 class TestSegmentValues:
@@ -149,29 +183,12 @@ class TestSegmentValues:
         assert v2 == -1.0
 
     def test_values_match_from_scratch_pairing(self, rng):
-        hits = 0
-        while hits < 25:
-            n = 4
-            lower = -rng.random(n) - 0.1
-            upper = rng.random(n) + 0.1
-            geom = box_geometry(lower, upper)
-            p = geom.random_point(rng)
-            mem = fill_memory(geom, p, rng, pushes=2, capacity=2)
-            grad = ProductTangent(rng.standard_normal(n))
-            d = ProductTangent(rng.standard_normal(n))
-            t_prev = 0.0
-            for t, b, v1, v2, _, _ in _walk_segments(geom, p, grad, d, mem):
-                e_b = np.zeros(n)
-                e_b[b] = 1.0
-                eb = ProductTangent(e_b)
-                d_hat_prev, _ = _path_pieces(geom, p, d, t_prev)
-                _, z_next = _path_pieces(geom, p, d, t)
-                v1_ref = mem.pairing(geom, p, eb, z_next)
-                v2_ref = mem.pairing(geom, p, eb, d_hat_prev)
-                assert abs(v1 - v1_ref) <= 1e-10 * (1.0 + abs(v1_ref))
-                assert abs(v2 - v2_ref) <= 1e-10 * (1.0 + abs(v2_ref))
-                t_prev = t
-                hits += 1
+        _check_segment_values_from_scratch(rng, None, hits_needed=25)
+
+    def test_mixed_geometry_matches_from_scratch_pairing(self, rng):
+        # Box coordinates come first in the packed layout, then the raveled
+        # Stiefel part; a column taken from the wrong place shows up here.
+        _check_segment_values_from_scratch(rng, Stiefel(2, 3), hits_needed=50)
 
 
 class TestIncrementalUpdates:

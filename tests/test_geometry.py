@@ -217,6 +217,14 @@ class TestInverseRetract:
             q2 = so.retract(p, v)
             assert np.max(np.abs(q2 - q)) <= 1e-8
 
+    def test_so3_singular_leading_block_raises(self):
+        # A quarter turn about the third axis: x^T y is invertible, but its
+        # leading 1 x 1 block is zero, so no QR step from p reaches q.
+        so = SpecialOrthogonal(3)
+        q = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(GeometryError):
+            so.inverse_retract(np.eye(3), q)
+
     def test_stiefel_round_trip(self, rng):
         st = Stiefel(2, 5)
         for _ in range(20):

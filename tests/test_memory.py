@@ -14,6 +14,7 @@ from rlbfgsb import (
     ProductPoint,
     ProductTangent,
     Sphere,
+    Stiefel,
     make_pair,
 )
 
@@ -279,6 +280,23 @@ class TestBasisDiag:
             t = ProductTangent(eb)
             assert abs(mem.basis_diag(b) - mem.pairing(geom, p, t, t)) <= 1e-12
             assert abs(mem.basis_diag(b) - h[b, b]) <= 1e-10
+
+    def test_mixed_geometry_matches_pairing(self, rng):
+        # The box coordinates lead the packed layout, ahead of the raveled
+        # Stiefel part; each basis column must be read from the box block.
+        n = 3
+        geom = Geometry(BoxBounds.unbounded(n), Stiefel(2, 3))
+        zero_m = np.zeros((2, 3))
+        for _ in range(10):
+            p = geom.random_point(rng)
+            mem = fill_memory(geom, p, rng, pushes=6, capacity=3)
+            assert mem.size > 0
+            for b in range(n):
+                eb = np.zeros(n)
+                eb[b] = 1.0
+                t = ProductTangent(eb, zero_m)
+                ref = mem.pairing(geom, p, t, t)
+                assert abs(mem.basis_diag(b) - ref) <= 1e-12 * (1.0 + abs(ref))
 
     def test_out_of_range(self):
         mem = LbfgsMemory()

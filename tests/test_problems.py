@@ -62,7 +62,8 @@ class TestEuclideanSuite:
         g = hs45.gradient(x).euclidean
         expected = [-np.prod(np.delete([1.0, 2, 3, 4, 5], i)) / 120.0 for i in range(5)]
         assert_allclose(g, expected)
-        assert rb.projected_gradient_norm(hs45.geometry, x, hs45.gradient(x)) == 0.0
+        geom = hs45.geometry
+        assert geom.norm(x, geom.project_tangent_cone(x, -hs45.gradient(x))) == 0.0
 
     def test_hs4_reference_point(self):
         hs4 = euclidean_suite()[2]
