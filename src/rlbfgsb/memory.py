@@ -16,27 +16,40 @@ inverse of the Schur complement ``Q + L D^{-1} L^T``, which is symmetric
 positive definite whenever the pairs pass the curvature test; its extreme
 eigenvalues decide whether ``M`` is usable.
 
-The pairs are the rows of two ``(mu, N)`` arrays ``S`` and ``Y`` of packed
-tangents (:attr:`ProductTangent.data`), oldest first.  The Gram blocks are
-``S S^T`` and ``S Y^T``.  :class:`LbfgsMemory` alone knows the coefficient
-layout: :meth:`~LbfgsMemory.coefficients` maps a flat tangent to
-``W X = [Y X.data; theta S X.data]``, :meth:`~LbfgsMemory.basis_coefficients`
-gives column ``b`` of ``W`` (the coefficients of the basis vector ``e_b``),
-and :meth:`~LbfgsMemory.bilinear` evaluates ``a^T M b``.  An empty memory
-maps everything to the empty vector, so ``<X, H[Y]>`` is ``theta <X, Y>``.
+The pairs are the interleaved rows ``s_0, y_0, s_1, y_1, ...`` of one
+``(2 mu, N)`` block ``X`` of packed tangents (:attr:`ProductTangent.data`),
+oldest first; ``S`` and ``Y`` are its even and odd rows.  :class:`LbfgsMemory`
+alone knows the coefficient layout: :meth:`~LbfgsMemory.coefficients` maps a
+flat tangent to ``W X = [Y X.data; theta S X.data]``,
+:meth:`~LbfgsMemory.basis_coefficients` gives column ``b`` of ``W`` (the
+coefficients of the basis vector ``e_b``), and :meth:`~LbfgsMemory.bilinear`
+evaluates ``a^T M b``.  An empty memory maps everything to the empty vector,
+so ``<X, H[Y]>`` is ``theta <X, Y>``.
 
-The inverse operator ``B = H^{-1}`` is applied with the classical two-loop
-recursion seeded with ``(1/theta) Id``; by the standard duality of the BFGS
-and inverse-BFGS updates the two representations are exact inverses of each
-other, which the test-suite checks against dense oracles.
+The inverse operator ``B = H^{-1}`` is applied in the compact form of Byrd,
+Nocedal and Schnabel (1994), ``B q = gamma q + X^T K X q`` with
+``gamma = 1 / theta`` and a ``2 mu x 2 mu`` kernel ``K`` built from
+``R = triu(S Y^T)``, ``D`` and ``Y Y^T``; it is the exact inverse of the
+Hessian form, which the test-suite checks against dense oracles.
 
-Between outer iterations the pairs, the step and the old gradient (in a
-spare row) are carried to the accepted point by vector transport: the
-identity on the box, one batched call for the manifold columns.  Pairs whose
-curvature ``<s, y> >= eps ||y||^2`` the transport destroys are discarded,
-which keeps the operator positive definite; :func:`make_pair` forms the new
-pair from the spare row.  Transport leaves ``M`` stale; the following
-:meth:`LbfgsMemory.push` rebuilds it once, and any read before that does.
+Every inner product between stored rows is read from a cached Gram matrix
+``X X^T``.  Its part over the box columns is cached too, because transport,
+the identity on the box, leaves it unchanged: a transport recomputes only
+the manifold columns' products, :meth:`~LbfgsMemory.push` adds only the new
+pair's rows and columns, and an eviction shifts these small matrices, not
+the rows.  The rows live in a window of ``2 capacity + 1`` slots: an
+eviction only advances the window's start, so ``X`` stays one contiguous
+block, and the live block is copied back to the front once every
+``capacity + 1`` evictions.
+
+Between outer iterations the pairs, the step and the old gradient (in the
+slot after the newest pair) are carried to the accepted point by vector
+transport: the identity on the box, one batched call for the manifold
+columns.  Pairs whose curvature ``<s, y> >= eps ||y||^2`` the transport
+destroys are discarded, which keeps the operator positive definite;
+:func:`make_pair` forms the new pair from the carried slot.  Transport
+leaves ``M`` stale; the following :meth:`LbfgsMemory.push` rebuilds it once,
+and any read before that does.
 """
 
 from __future__ import annotations
@@ -52,6 +65,12 @@ __all__ = ["LbfgsMemory", "MemoryPair", "SingularMiddleMatrix", "make_pair"]
 # Cutoff on the 2-norm condition number of the Schur complement above which
 # the middle matrix is declared unusable.
 _COND_LIMIT = 1e14
+
+# The face Gram matrix is the full one minus the active columns' products.
+# A pair whose face ||y||^2 is at most this fraction of its active ||y||^2,
+# or whose face <s, y> is at most this fraction of its active ||s|| ||y||,
+# is roundoff of that subtraction, and the face-restricted inverse skips it.
+_FACE_FLOOR = 1e-12
 
 
 class SingularMiddleMatrix(RuntimeError):
@@ -79,6 +98,11 @@ def make_pair(
     return geom.unpack(step.copy()), geom.unpack(grad_new.data - grad_old)
 
 
+def _interleaved(pairs: np.ndarray) -> np.ndarray:
+    """Row indices ``2i, 2i + 1`` of ``X`` for the pair indices ``i``."""
+    return (2 * pairs[:, None] + np.arange(2)).ravel()
+
+
 class LbfgsMemory:
     """FIFO store of curvature pairs plus the derived compact-form data."""
 
@@ -91,11 +115,19 @@ class LbfgsMemory:
         self.curvature_eps = float(curvature_eps)
         self.theta = 1.0
         self._geom: Geometry | None = None
-        # _rows[i] is the pair (s_i, y_i); the first _size rows are live, and
-        # row _size carries the step and old gradient through transport.
-        self._rows = np.zeros((self.capacity + 1, 2, 0))
-        self._sy = np.zeros(self.capacity)
+        # Slot _start + i holds the pair (s_i, y_i) for i < _size; the slot
+        # after the newest pair carries the step and old gradient through
+        # transport.  _flat views the slots as the interleaved rows of X.
+        self._allocate(0)
+        self._start = 0
         self._size = 0
+        # Gram matrices of X over the box columns and over all columns; the
+        # leading 2 _size rows and columns are live, the next two take a
+        # candidate pair.
+        self._gram_box = np.zeros((2 * self.capacity + 2,) * 2)
+        self._gram = np.zeros_like(self._gram_box)
+        self._strict_lower = np.tri(self.capacity, k=-1, dtype=bool)
+        self._upper = ~self._strict_lower
         self._middle = np.zeros((0, 0))
         self._stale = False  # pairs or theta changed since _middle was built
 
@@ -104,24 +136,34 @@ class LbfgsMemory:
         return self._size
 
     @property
+    def _live(self) -> np.ndarray:
+        """The interleaved rows ``s_0, y_0, s_1, ...`` of the stored pairs (a view)."""
+        return self._flat[2 * self._start : 2 * (self._start + self._size)]
+
+    @property
     def S(self) -> np.ndarray:
         """Stored steps as packed rows, oldest first (a view)."""
-        return self._rows[: self._size, 0]
+        return self._live[0::2]
 
     @property
     def Y(self) -> np.ndarray:
         """Stored gradient differences as packed rows, oldest first (a view)."""
-        return self._rows[: self._size, 1]
+        return self._live[1::2]
 
     @property
     def carried(self) -> np.ndarray:
         """Step and old gradient as the last :meth:`transport` moved them (a view)."""
-        return self._rows[self._size]
+        return self._rows[self._start + self._size]
 
     @property
     def sy(self) -> np.ndarray:
-        """Curvatures ``<s_i, y_i>`` (a view)."""
-        return self._sy[: self._size]
+        """Curvatures ``<s_i, y_i>``, read off the Gram matrix (a view)."""
+        return self._gram.diagonal(1)[: 2 * self._size : 2]
+
+    @property
+    def _yy(self) -> np.ndarray:
+        """Squared norms ``<y_i, y_i>``, read off the Gram matrix (a view)."""
+        return self._gram.diagonal()[1 : 2 * self._size : 2]
 
     @property
     def pairs(self) -> list[MemoryPair]:
@@ -133,6 +175,7 @@ class LbfgsMemory:
 
     def reset(self) -> None:
         """Drop all pairs and fall back to the identity scaling."""
+        self._start = 0
         self._size = 0
         self.theta = 1.0
         self._middle = np.zeros((0, 0))
@@ -145,41 +188,68 @@ class LbfgsMemory:
         return (yy > 0.0) & (sy >= self.curvature_eps * yy)
 
     def _fit(self, geom: Geometry, width: int) -> None:
-        """Size the rows for packed tangents of ``width``; a new width drops all pairs."""
+        """Size the rows for packed tangents of ``width``; a new width resets the memory."""
         if self._rows.shape[2] != width:
-            self._rows = np.zeros((self.capacity + 1, 2, width))
-            self._size = 0
+            self._allocate(width)
+            self.reset()
         self._geom = geom
+
+    def _allocate(self, width: int) -> None:
+        self._rows = np.zeros((2 * self.capacity + 1, 2, width))
+        self._flat = self._rows.reshape(2 * len(self._rows), width)
 
     def push(
         self, geom: Geometry, p: ProductPoint, s: ProductTangent, y: ProductTangent
     ) -> bool:
         """Admit ``(s.data, y.data)``; returns False when the curvature test rejects it.
 
-        On acceptance they are copied into the rows, the oldest pair is
-        evicted if the memory is full, the scaling becomes ``<y, y> / <s, y>``
-        of the new pair, and the middle matrix is rebuilt.  A rejection
-        rebuilds it only when a preceding :meth:`transport` left it stale.
-        Either rebuild raises :class:`SingularMiddleMatrix` when the pairs are
-        numerically singular.
+        The pair is written to the slot after the newest one, and its Gram
+        row and column are formed there, so its curvature is read off the
+        Gram matrix.  On acceptance the oldest pair is evicted if the memory
+        is full, the scaling becomes ``<y, y> / <s, y>`` of the new pair, and
+        the middle matrix is rebuilt.  A rejection rebuilds it only when a
+        preceding :meth:`transport` left it stale.  Either rebuild raises
+        :class:`SingularMiddleMatrix` when the pairs are numerically singular.
         """
-        sv, yv = s.data, y.data
-        sy, yy = float(sv @ yv), float(yv @ yv)
+        self._fit(geom, s.data.size)
+        m, slot = 2 * self._size, self._start + self._size
+        self._rows[slot, 0], self._rows[slot, 1] = s.data, y.data
+        x = self._flat[2 * self._start : 2 * slot + 2]
+        nb = geom.box.n
+        col = x[:, :nb] @ x[m:, :nb].T
+        self._set_new_column(self._gram_box, col)
+        col += x[:, nb:] @ x[m:, nb:].T
+        self._set_new_column(self._gram, col)
+        sy, yy = col[m, 1], col[m + 1, 1]
         if not self._passes_curvature(sy, yy):
             if self._stale:
                 self._refresh_middle()
             return False
-        self._fit(geom, sv.size)
-        if self._size == self.capacity:
-            self._rows[:-1] = self._rows[1:]
-            self._sy[:-1] = self._sy[1:]
-            self._size -= 1
-        self._rows[self._size] = sv, yv
-        self._sy[self._size] = sy
         self._size += 1
-        self.theta = yy / sy
+        if self._size > self.capacity:
+            self._evict()
+        self.theta = float(yy / sy)
         self._refresh_middle()
         return True
+
+    @staticmethod
+    def _set_new_column(gram: np.ndarray, col: np.ndarray) -> None:
+        """Write the last two rows and columns of the leading block from ``col``."""
+        m = col.shape[0] - 2
+        col[m + 1, 0] = col[m, 1]  # one value for <s, y>, so the Gram stays symmetric
+        gram[: m + 2, m : m + 2] = col
+        gram[m : m + 2, : m + 2] = col.T
+
+    def _evict(self) -> None:
+        """Drop the oldest pair by advancing the window; rewind it when it runs out."""
+        self._start += 1
+        self._size -= 1
+        k = 2 * self._size
+        for gram in (self._gram_box, self._gram):
+            gram[:k, :k] = gram[2 : k + 2, 2 : k + 2]
+        if self._start + self._size == self._rows.shape[0]:
+            self._rows[: self._size] = self._rows[self._start :]
+            self._start = 0
 
     def transport(
         self,
@@ -191,32 +261,35 @@ class LbfgsMemory:
     ) -> int:
         """Carry the pairs, ``step`` and ``grad_old`` to ``p_new = retract(p_old, step)``.
 
-        ``step`` and ``grad_old`` move in the spare row, in the same batched
-        call, and stay readable as :attr:`carried` until the next
-        :meth:`push`; pass ``p_new`` when it is known, so it is not retracted
-        again.  Pairs whose curvature the transport destroys are discarded;
+        ``step`` and ``grad_old`` move in the slot after the newest pair, in
+        the same batched call, and stay readable as :attr:`carried` until the
+        next :meth:`push`; pass ``p_new`` when it is known, so it is not
+        retracted again.  The manifold part of the Gram matrix is recomputed,
+        and pairs whose curvature the transport destroys are discarded;
         returns how many were dropped.  The scaling is reset from the newest
         survivor, and the middle matrix is left stale for :meth:`push` (or a
         read) to rebuild, so pairs that are numerically singular only until
         ``push`` evicts or adds one raise no :class:`SingularMiddleMatrix`.
         """
-        sv = step.data
-        self._fit(geom, sv.size)
-        n = self._size
-        self._rows[n] = sv, grad_old.data
-        geom.transport(p_old, step, self._rows[: n + 1], p_new)
+        self._fit(geom, step.data.size)
+        n, lo = self._size, self._start
+        self._rows[lo + n, 0], self._rows[lo + n, 1] = step.data, grad_old.data
+        geom.transport(p_old, step, self._rows[lo : lo + n + 1], p_new)
         if not n or geom.manifold is None:
             return 0
-        S, Y = self.S, self.Y
-        sy = np.einsum("ij,ij->i", S, Y)
-        yy = np.einsum("ij,ij->i", Y, Y)
+        m = 2 * n
+        xm = self._live[:, geom.box.n :]
+        self._gram[:m, :m] = self._gram_box[:m, :m] + xm @ xm.T
+        sy, yy = self.sy, self._yy
         keep = np.flatnonzero(self._passes_curvature(sy, yy))
+        self.theta = float(yy[keep[-1]] / sy[keep[-1]]) if keep.size else 1.0
         dropped = n - keep.size
         if dropped:
-            self._rows[: keep.size + 1] = self._rows[np.append(keep, n)]
+            self._rows[lo : lo + keep.size + 1] = self._rows[lo + np.append(keep, n)]
+            idx = _interleaved(keep)
+            for gram in (self._gram_box, self._gram):
+                gram[: idx.size, : idx.size] = gram[np.ix_(idx, idx)]
         self._size = keep.size
-        self._sy[: keep.size] = sy[keep]
-        self.theta = float(yy[keep[-1]] / sy[keep[-1]]) if keep.size else 1.0
         self._stale = True
         return dropped
 
@@ -224,7 +297,7 @@ class LbfgsMemory:
     # Compact representation
 
     def _refresh_middle(self) -> None:
-        """Rebuild the middle matrix from the stored pairs and ``theta``.
+        """Rebuild the middle matrix from the cached Gram matrix and ``theta``.
 
         The Schur complement counts as singular when it is not finite, not
         positive definite, or its condition number exceeds ``_COND_LIMIT``.
@@ -238,9 +311,10 @@ class LbfgsMemory:
             self._middle = np.zeros((0, 0))
             self._stale = False
             return
-        S, Y, d = self.S, self.Y, self.sy
-        q = self.theta * (S @ S.T)
-        low = np.tril(S @ Y.T, -1)
+        gram = self._gram[: 2 * mu, : 2 * mu]
+        d = self.sy
+        q = self.theta * gram[0::2, 0::2]
+        low = np.where(self._strict_lower[:mu, :mu], gram[0::2, 1::2], 0.0)
 
         # Inverse of [[-D, L^T], [L, Q]] from the inverse of the Schur
         # complement Q + L D^{-1} L^T.
@@ -275,13 +349,15 @@ class LbfgsMemory:
         """``W v = [Y v; theta S v]`` for the flat tangent ``v``; empty without pairs."""
         if not self._size:
             return np.zeros(0)
-        return np.concatenate([self.Y @ v, self.theta * (self.S @ v)])
+        xv = self._live @ v
+        return np.concatenate([xv[1::2], self.theta * xv[0::2]])
 
     def basis_coefficients(self, b: int) -> np.ndarray:
         """Column ``b`` of ``W``: the coefficients of the basis vector ``e_b``."""
         if not self._size:
             return np.zeros(0)
-        return np.concatenate([self.Y[:, b], self.theta * self.S[:, b]])
+        xb = self._live[:, b]
+        return np.concatenate([xb[1::2], self.theta * xb[0::2]])
 
     def bilinear(self, a: np.ndarray, b: np.ndarray) -> float:
         """``a^T M b`` for two coefficient vectors."""
@@ -307,6 +383,25 @@ class LbfgsMemory:
     # ------------------------------------------------------------------
     # Inverse operator
 
+    def _inverse_kernel(self, gram: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(gamma, K)`` with ``B q = gamma q + X^T K X q`` for pairs of Gram ``gram``.
+
+        ``gram`` is the Gram matrix of interleaved rows ``X``; ``gamma`` is
+        ``<s, y> / <y, y>`` of the newest pair.  With ``R = triu(S Y^T)``,
+        the s-s block of ``K`` is ``R^{-T} (D + gamma Y Y^T) R^{-1}``, the s-y
+        block ``-gamma R^{-T}``, its transpose the y-s block, and the y-y
+        block zero (Byrd, Nocedal and Schnabel, 1994, Theorem 2.2).
+        """
+        mu = gram.shape[0] // 2
+        sy, yy = gram[0::2, 1::2], gram[1::2, 1::2]
+        gamma = float(sy[-1, -1] / yy[-1, -1])
+        r_inv = np.linalg.inv(np.where(self._upper[:mu, :mu], sy, 0.0))
+        kernel = np.zeros_like(gram)
+        kernel[0::2, 0::2] = r_inv.T @ (np.diag(sy.diagonal()) + gamma * yy) @ r_inv
+        kernel[0::2, 1::2] = -gamma * r_inv.T
+        kernel[1::2, 0::2] = -gamma * r_inv
+        return gamma, kernel
+
     def apply_inverse(
         self,
         geom: Geometry,
@@ -314,38 +409,46 @@ class LbfgsMemory:
         x: ProductTangent,
         free_mask: np.ndarray | None = None,
     ) -> ProductTangent:
-        """Apply ``B = H^{-1}`` to ``x`` by the two-loop recursion.
+        """Apply ``B = H^{-1}`` to ``x`` in compact form.
 
         With ``free_mask`` (a boolean vector over the box coordinates, True
-        for free ones) the recursion runs within the tangent space of the
-        active boundary face: masked-out components of ``x`` and of every
-        stored pair are treated as zero, pairs whose curvature does not
-        survive on the face are skipped, and the scaling is taken from
-        the newest surviving pair (1 when none survives).  This keeps the
-        operator positive definite on the face, so the result is a descent
-        direction there whenever ``x`` is the projected negative gradient.
-        Without a mask every coordinate is free.  The result wraps a new
-        flat vector.
+        for free ones) the operator is the inverse BFGS operator of the
+        pairs restricted to the tangent space of the active boundary face:
+        masked-out components of ``x`` and of every stored pair are treated
+        as zero, pairs whose curvature does not survive on the face, or
+        whose face ``<s, y>`` or ``<y, y>`` is roundoff against its active
+        part, are skipped, and the scaling is taken from the newest
+        surviving pair (1 when none survives).  This keeps the operator
+        positive definite on the face, so the result is a descent direction
+        there whenever ``x`` is the projected negative gradient.  The face
+        Gram matrix is the cached one minus the active columns' products,
+        and masked-out components of the result are zero.  Without a
+        masked-out coordinate the subtracted products and both floors are
+        zero, so every stored pair is used.  The result wraps a new flat
+        vector.
         """
-        w = np.ones(x.data.size)
-        if free_mask is not None:
-            w[: geom.box.n] = free_mask
-        q = w * x.data
+        q = x.data.copy()
+        active = np.flatnonzero(~free_mask) if free_mask is not None else np.zeros(0, int)
+        q[active] = 0.0
         if not self._size:
             return geom.unpack((1.0 / self.theta) * q)
-        S, Y = self.S, self.Y
-        sy = np.einsum("ij,ij,j->i", S, Y, w)
-        yy = np.einsum("ij,ij,j->i", Y, Y, w)
-        usable = np.flatnonzero(self._passes_curvature(sy, yy))
-        theta = yy[usable[-1]] / sy[usable[-1]] if usable.size else 1.0
-
-        alphas = np.empty(self._size)
-        for i in usable[::-1]:
-            alphas[i] = (S[i] @ q) / sy[i]
-            q -= alphas[i] * Y[i]
-            q *= w
-        r = (1.0 / theta) * q
-        for i in usable:
-            r += (alphas[i] - (Y[i] @ r) / sy[i]) * S[i]
-            r *= w
+        rows = self._live
+        cols = rows[:, active]
+        act = cols @ cols.T
+        face = self._gram[: rows.shape[0], : rows.shape[0]] - act
+        sy, yy = face.diagonal(1)[0::2], face.diagonal()[1::2]
+        act_ss, act_yy = act.diagonal()[0::2], act.diagonal()[1::2]
+        usable = (
+            self._passes_curvature(sy, yy)
+            & (yy > _FACE_FLOOR * act_yy)
+            & (sy > _FACE_FLOOR * np.sqrt(act_ss * act_yy))
+        )
+        if not usable.any():
+            return geom.unpack(q)
+        idx = slice(None) if usable.all() else _interleaved(np.flatnonzero(usable))
+        gamma, kernel = self._inverse_kernel(face[idx][:, idx])
+        coef = np.zeros(rows.shape[0])
+        coef[idx] = kernel @ (rows @ q)[idx]
+        r = gamma * q + coef @ rows
+        r[active] = 0.0
         return geom.unpack(r)

@@ -362,3 +362,34 @@ class TestApplyInverse:
         full = mem.apply_inverse(geom, p, x)
         masked = mem.apply_inverse(geom, p, x, free_mask=np.ones(4, dtype=bool))
         assert_allclose(masked.euclidean, full.euclidean, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "s, y",
+        [
+            # The face parts are roundoff against the active ones; used, the
+            # pair would set the face scaling to 0.1 and blow the result up
+            # tenfold.
+            (([1.0, 0.0], 1e-14), ([1.0, 0.0], 1e-15)),
+            # Only the face part of y is: its face <y, y> of 9e-14 keeps few
+            # digits after the subtraction of 1, and, used, would scale the
+            # result by 3e6.
+            (([1.0, 0.0], 1.0), ([1.0, 0.0], 3e-7)),
+            # The face parts are nearly orthogonal: their <s, y> of 1e-17 is
+            # below the rounding of the full <s, y> of about 1 from which the
+            # face value is taken, so it reads as 2.2e-16, passes the
+            # scale-free curvature test against the face <y, y> of 1e-10,
+            # and, used, would make the result about 1e16 in norm.
+            (([1.0, 1.0], -1.1e-11), ([1.0, 1.2e-16], 1e-5)),
+        ],
+    )
+    def test_face_skips_roundoff_level_pair(self, s, y):
+        # The box coordinate 0 is active, and the pair's face part is its
+        # second box coordinate and its sphere part.
+        geom = Geometry(BoxBounds(np.zeros(2), np.ones(2)), Sphere(3))
+        p = ProductPoint(np.array([0.0, 0.5]), np.array([0.0, 0.0, 1.0]))
+        mem = LbfgsMemory(capacity=2)
+        s, y = (ProductTangent(np.array(box), np.array([m, 0.0, 0.0])) for box, m in (s, y))
+        assert mem.push(geom, p, s, y)
+        x = ProductTangent(np.array([2.0, 1.5]), np.zeros(3))
+        out = mem.apply_inverse(geom, p, x, free_mask=np.array([False, True]))
+        assert_allclose(out.data, [0.0, 1.5, 0.0, 0.0, 0.0], rtol=1e-15)

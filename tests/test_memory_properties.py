@@ -9,6 +9,7 @@ inverse of the block matrix.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -262,3 +263,124 @@ def test_stiefel_transport_to_a_given_target_does_not_retract(monkeypatch):
         mem.transport(geom, p, step, geom.random_tangent(p, rng), q)
         monkeypatch.setattr(rb.Stiefel, "retract", retract)
         assert calls == []
+
+
+def assert_masked_inverse_matches(geom, p, mem, rng, mask):
+    """Masked ``apply_inverse`` of a random tangent agrees with the dense oracle."""
+    x = geom.random_tangent(p, rng)
+    w = weight(geom, mask)
+    binv = dense_masked_inverse(geom, mem, w)
+    v = w * x.data
+    got = mem.apply_inverse(geom, p, x, free_mask=mask).data
+    tol = 1e-9 * (1.0 + np.linalg.norm(binv, 2) * np.linalg.norm(v))
+    assert np.linalg.norm(got - binv @ v) <= tol
+
+
+def block_from_pairs(mem):
+    """``[[-D, L^T], [L, theta S S^T]]`` from the stored vectors, not the cache."""
+    s = np.array([pr.s.data for pr in mem.pairs])
+    y = np.array([pr.y.data for pr in mem.pairs])
+    sy = s @ y.T
+    low = np.tril(sy, -1)
+    return np.block([[-np.diag(np.diag(sy)), low.T], [low, mem.theta * (s @ s.T)]])
+
+
+def sequence_geometry(kind, n, d):
+    if kind == "sphere":
+        return Geometry(BoxBounds.empty(), rb.Sphere(d))
+    manifold = {"box": None, "box-sphere": rb.Sphere(d), "box-stiefel": rb.Stiefel(2, d)}[kind]
+    return Geometry(BoxBounds(-np.ones(n), np.ones(n)), manifold)
+
+
+# Weighted towards the updates, so that sequences evict past capacity and
+# wrap the row window; a reset or a width change is rarer.
+OPERATIONS = ["accept"] * 3 + ["near"] * 3 + ["transport"] * 3 + ["reject", "reset", "widen"]
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from(["box", "box-sphere", "box-stiefel", "sphere"]),
+    st.integers(1, 3),
+    st.lists(st.sampled_from(OPERATIONS), min_size=8, max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+def test_gram_cache_survives_operation_sequences(kind, capacity, ops, seed):
+    # Pushes that evict past capacity wrap the row window, transports drop
+    # near-threshold pairs, and a width change starts over; after every
+    # operation the cached Gram blocks must still describe the stored rows.
+    rng = np.random.default_rng(seed)
+    n, d = 3, 4
+    geom = sequence_geometry(kind, n, d)
+    p = geom.random_point(rng)
+    mem = LbfgsMemory(capacity, curvature_eps=1e-3)
+    for op in ops:
+        if op == "widen":
+            n, d = n + 1, d + 1
+            geom = sequence_geometry(kind, n, d)
+            p = geom.random_point(rng)
+        s, r = geom.random_tangent(p, rng), geom.random_tangent(p, rng)
+        try:
+            if op in ("accept", "widen"):
+                y = s + 0.1 * (geom.norm(p, s) / geom.norm(p, r)) * r
+                assert mem.push(geom, p, s, y)
+            elif op == "near":
+                # curvature just above the threshold, so a transport can flip it
+                yy = geom.inner(p, r, r)
+                s = s - (geom.inner(p, s, r) / yy - 1e-3 * rng.uniform(1.0, 1.1)) * r
+                mem.push(geom, p, s, r)
+            elif op == "reject":
+                assert not mem.push(geom, p, s, -s)
+            elif op == "transport":
+                step = rng.uniform(0.5, 3.0) * s
+                q = geom.retract(p, step)
+                mem.transport(geom, p, step, r, q)
+                p = q
+            else:
+                mem.reset()
+            middle = mem.middle_matrix()
+        except rb.SingularMiddleMatrix:
+            mem.reset()  # what the solver does
+            middle = mem.middle_matrix()
+        assert mem.size <= capacity
+        if mem.size:
+            residual = middle @ block_from_pairs(mem) - np.eye(2 * mem.size)
+            assert np.max(np.abs(residual)) <= 1e-9
+        else:
+            assert middle.shape == (0, 0)
+        assert_masked_inverse_matches(geom, p, mem, rng, rng.random(geom.box.n) < 0.6)
+
+
+def spd_pairs(geom, p, rng, count):
+    """Pairs ``(s, A s)`` for one random symmetric positive definite ``A``."""
+    width = geom.zero_tangent(p).data.size
+    g = rng.standard_normal((width, width))
+    a = g @ g.T / width + np.eye(width)
+    for _ in range(count):
+        s = geom.random_tangent(p, rng)
+        y = geom.unpack(a @ s.data)
+        if geom.manifold is not None:
+            y.manifold[...] = geom.manifold.project_tangent(p.manifold, y.manifold)
+        yield s, y
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", ["bss-small", "sphere"])
+def test_masked_inverse_at_bench_shapes(shape, seed):
+    # Ten pairs at the bench's widths: 150 box coordinates times Stiefel(3, 3)
+    # with about 7% of them active, and Sphere(30) with no box at all.
+    rng = np.random.default_rng(seed)
+    if shape == "sphere":
+        geom = Geometry(BoxBounds.empty(), rb.Sphere(30))
+    else:
+        geom = Geometry(BoxBounds(np.zeros(150), np.ones(150)), rb.Stiefel(3, 3))
+    p = geom.random_point(rng)
+    mem = LbfgsMemory(10)
+    for s, y in spd_pairs(geom, p, rng, 14):
+        mem.push(geom, p, s, y)
+    step = 0.3 * geom.random_tangent(p, rng)
+    q = geom.retract(p, step)
+    mem.transport(geom, p, step, geom.random_tangent(p, rng), q)
+    s, y = next(spd_pairs(geom, q, rng, 1))
+    mem.push(geom, q, s, y)
+    assert mem.size == 10
+    assert_masked_inverse_matches(geom, q, mem, rng, rng.random(geom.box.n) >= 0.07)
