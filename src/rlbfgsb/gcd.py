@@ -7,17 +7,16 @@ Projecting the ray onto the box yields a piecewise-linear path ``d_PL(t)``
 
     q(t) = f(p) + <grad, d_PL(t)> + 1/2 <d_PL(t), H[d_PL(t)]>
 
-is piecewise quadratic in ``t``; this module locates its first local
-minimizer ``t_*`` by walking the breakpoints in time order and updating the
-segment slope ``f'`` and curvature ``f''`` incrementally.  Each breakpoint
-crossing needs only three Hessian values, all cheap in the compact
-limited-memory representation; :class:`SegmentState` carries the two
-running coefficient vectors, of the path point and of the moving direction,
-in the layout :meth:`LbfgsMemory.coefficients` defines.  The breakpoint
-times come from one vectorized expression, and the walk partitions off the
-next few smallest and sorts only those, doubling the chunk when it runs
-out, so its cost follows the breakpoints actually crossed rather than the
-box dimension.
+is piecewise quadratic in ``t``; its first local minimizer ``t_*`` is found
+as in Algorithm CP of Byrd, Lu, Nocedal and Zhu (1995), by walking the
+breakpoints in time order and updating the segment slope ``f'`` and
+curvature ``f''`` incrementally.  ``W d`` is formed once per search.  A
+crossing of coordinate ``b`` takes one column ``w_b`` of ``W`` and one
+product ``M w_b``, and its three Hessian values are dot products with it.
+:class:`SegmentState` carries the coefficient vectors of the path point and
+of the moving direction.  The walk partitions off the next few smallest
+breakpoint times and sorts only those, doubling the chunk when it runs out,
+so its cost follows the breakpoints crossed rather than the box dimension.
 
 The search is capped by a sentinel breakpoint at the manifold's maximum
 step size.  The returned direction is ``t_* d`` with every coordinate whose
@@ -40,14 +39,8 @@ from .geometry import BoxBounds, Geometry, ProductPoint, ProductTangent
 from .memory import LbfgsMemory
 
 __all__ = [
-    "BreakpointSet",
-    "GcdOutcome",
-    "GcdStatus",
-    "SegmentState",
-    "compute_breakpoints",
-    "generalized_cauchy_direction",
-    "segment_values",
-    "surrogate_init",
+    "BreakpointSet", "GcdOutcome", "GcdStatus", "SegmentState", "compute_breakpoints",
+    "generalized_cauchy_direction", "segment_values", "surrogate_init",
 ]
 
 
@@ -131,10 +124,7 @@ class BreakpointSet:
 
 
 def compute_breakpoints(
-    bounds: BoxBounds,
-    p_d: np.ndarray,
-    d_d: np.ndarray,
-    t_manifold_max: float = np.inf,
+    bounds: BoxBounds, p_d: np.ndarray, d_d: np.ndarray, t_manifold_max: float = np.inf
 ) -> BreakpointSet:
     """Travel times to the facing bounds, with the walk's candidate set.
 
@@ -142,24 +132,28 @@ def compute_breakpoints(
     never walked; callers avoid them entirely by projecting ``d`` onto the
     tangent cone first.
     """
+    times = np.where(d_d < 0, bounds.lower, bounds.upper)
     with np.errstate(divide="ignore", invalid="ignore"):
-        times = (np.where(d_d < 0, bounds.lower, bounds.upper) - p_d) / d_d
+        times -= p_d
+        times /= d_d
     times[d_d == 0] = np.inf
-    times[times == 0.0] = 0.0  # normalize -0.0
+    times += 0.0  # normalize -0.0
     return BreakpointSet(times, t_manifold_max)
 
 
 @dataclass
 class SegmentState:
-    """Coefficient vectors carried across segments.
+    """Coefficient vectors carried across segments, and the last crossing's diagonal.
 
     ``c = W(x_c - x)`` are the coefficients of the accumulated path point and
     ``p = W d_hat`` those of the still-moving direction, both in the layout of
     :meth:`LbfgsMemory.coefficients` (``c`` starts at zero, ``p`` at ``W d``).
+    ``diag = theta - w_b^T M w_b`` is ``<e_b, H[e_b]>`` for the last ``b`` crossed.
     """
 
     c: np.ndarray
     p: np.ndarray
+    diag: float = 0.0
 
 
 def surrogate_init(
@@ -171,35 +165,30 @@ def surrogate_init(
 
 
 def segment_values(
-    state: SegmentState,
-    mem: LbfgsMemory,
-    t: float,
-    dt: float,
-    b: int,
-    d_b: float,
+    state: SegmentState, mem: LbfgsMemory, t: float, dt: float, b: int, d_b: float
 ) -> tuple[float, float]:
     """Hessian values needed when coordinate ``b`` reaches its bound at time ``t``.
 
     Mutates ``state`` for the next segment and returns
     ``v1 = <e_b, H[Z]>`` (``Z`` the path point at ``t``) and
     ``v2 = <e_b, H[dhat]>`` (``dhat`` the direction active on the segment of
-    length ``dt`` that just ended).
+    length ``dt`` that just ended), and sets ``state.diag``: all three from
+    one column ``w_b`` of ``W`` and one product ``M w_b``.
     """
     state.c += dt * state.p
     w_b = mem.basis_coefficients(b)
-    v1 = mem.theta * t * d_b - mem.bilinear(w_b, state.c)
-    v2 = mem.theta * d_b - mem.bilinear(w_b, state.p)
+    m_b = mem.apply_middle(w_b)
+    theta = mem.theta
+    v1 = theta * t * d_b - float(m_b @ state.c)
+    v2 = theta * d_b - float(m_b @ state.p)
+    state.diag = theta - float(m_b @ w_b)
     state.p -= d_b * w_b
     return v1, v2
 
 
 def generalized_cauchy_direction(
-    geom: Geometry,
-    p: ProductPoint,
-    grad: ProductTangent,
-    d: ProductTangent,
-    mem: LbfgsMemory,
-    t_manifold_max: float | None = None,
+    geom: Geometry, p: ProductPoint, grad: ProductTangent, d: ProductTangent,
+    mem: LbfgsMemory, t_manifold_max: float | None = None,
 ) -> GcdOutcome:
     """First local minimizer of the model along the projected path of ``d``.
 
@@ -216,14 +205,14 @@ def generalized_cauchy_direction(
     x, d_eu, g_eu = p.euclidean, d.euclidean, grad.euclidean
     bps = compute_breakpoints(bounds, x, d_eu, t_manifold_max)
 
+    qs = surrogate_init(mem, geom, p, d)
     f1 = geom.inner(p, grad, d)
-    f2 = mem.pairing(geom, p, d, d)
+    f2 = mem.theta * float(d.data @ d.data) - mem.bilinear(qs.p, qs.p)  # <d, H[d]>
     if f1 == 0.0 or f2 == 0.0:
         return GcdOutcome(geom.zero_tangent(p), GcdStatus.NOT_FOUND)
     dt_min = -f1 / f2
 
     t_old = 0.0
-    qs = surrogate_init(mem, geom, p, d)
     # The walk always ends with the sentinel, so the loop leaves by a break
     # with t the time of the last breakpoint walked.
     for t, b in bps.walk():
@@ -239,7 +228,7 @@ def generalized_cauchy_direction(
         g_b = float(g_eu[b])
         v1, v2 = segment_values(qs, mem, t, dt, b, d_b)
         f1 = f1 + dt * f2 - d_b * (g_b + v1)
-        f2 = f2 - 2.0 * d_b * v2 + d_b * d_b * mem.basis_diag(b)
+        f2 = f2 - 2.0 * d_b * v2 + d_b * d_b * qs.diag
         t_old = t
         if f1 == 0.0 or f2 == 0.0:
             dt_min = 0.0
@@ -251,22 +240,28 @@ def generalized_cauchy_direction(
         return GcdOutcome(geom.zero_tangent(p), GcdStatus.NOT_FOUND)
 
     direction = t_star * d
-    passed = bps.times < t  # components fixed at their bound before the last one walked
-    eu = direction.euclidean
-    if np.any(passed):
-        idx = np.nonzero(passed)[0]
-        eu[idx] = np.where(d_eu[idx] > 0, bounds.upper[idx], bounds.lower[idx]) - x[idx]
-    # p + direction must lie in the box exactly; rounding in the offsets can
-    # overshoot by an ulp, so nudge offending components back in.
     if bounds.n:
-        over = x + eu > bounds.upper
-        while np.any(over):
-            eu[over] = np.nextafter(eu[over], -np.inf)
-            over = x + eu > bounds.upper
-        under = x + eu < bounds.lower
-        while np.any(under):
-            eu[under] = np.nextafter(eu[under], np.inf)
-            under = x + eu < bounds.lower
+        _clamp_into_box(bounds, x, d_eu, direction.euclidean, (bps.times < t).nonzero()[0])
 
     status = GcdStatus.FOUND_LIMITED if bps.candidates.size else GcdStatus.FOUND_UNLIMITED
     return GcdOutcome(direction, status)
+
+
+def _clamp_into_box(
+    bounds: BoxBounds, x: np.ndarray, d_eu: np.ndarray, eu: np.ndarray, passed: np.ndarray
+) -> None:
+    """Clamp the offset ``eu`` at ``passed`` to its bounds, then nudge it exactly into the box.
+
+    Rounding can leave ``x + eu`` an ulp outside; such entries move one ulp at a time.
+    """
+    if passed.size:
+        facing = np.where(d_eu[passed] > 0, bounds.upper[passed], bounds.lower[passed])
+        eu[passed] = facing - x[passed]
+    new = x + eu
+    sides = ((bounds.upper, np.greater, -np.inf), (bounds.lower, np.less, np.inf))
+    for bound, outside, toward in sides:
+        idx = outside(new, bound).nonzero()[0]
+        while idx.size:
+            eu[idx] = np.nextafter(eu[idx], toward)
+            new[idx] = x[idx] + eu[idx]
+            idx = idx[outside(new[idx], bound[idx])]

@@ -359,9 +359,13 @@ class LbfgsMemory:
         xb = self._live[:, b]
         return np.concatenate([xb[1::2], self.theta * xb[0::2]])
 
+    def apply_middle(self, w: np.ndarray) -> np.ndarray:
+        """``M w`` for a coefficient vector, formed as ``w^T M`` (``M`` is symmetric)."""
+        return w @ self._current_middle()
+
     def bilinear(self, a: np.ndarray, b: np.ndarray) -> float:
         """``a^T M b`` for two coefficient vectors."""
-        return float(a @ self._current_middle() @ b)
+        return float(self.apply_middle(a) @ b)
 
     def pairing(
         self, geom: Geometry, p: ProductPoint, x: ProductTangent, y: ProductTangent

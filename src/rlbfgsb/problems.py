@@ -225,8 +225,9 @@ class BssInstance:
 
 
 def _log_cosh(s: np.ndarray) -> np.ndarray:
-    # log(cosh(s)) = logaddexp(s, -s) - log 2, stable for large |s|
-    return np.logaddexp(s, -s) - math.log(2.0)
+    # log(cosh(s)) = |s| + log1p(exp(-2|s|)) - log 2: logaddexp(s, -s)'s stable form
+    a = np.abs(s)
+    return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
 
 def bss_problem(instance: BssInstance, init_seed: int = 0) -> Problem:

@@ -7,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rlbfgsb as rb
+import rlbfgsb.gcd as gcd_mod
+import rlbfgsb.solver as solver_mod
 from rlbfgsb import (
     BoxBounds,
     GcdStatus,
@@ -16,10 +18,14 @@ from rlbfgsb import (
     ProductTangent,
     Sphere,
     Stiefel,
+    bss_problem,
     compute_breakpoints,
+    euclidean_suite,
     generalized_cauchy_direction,
     segment_values,
+    solve,
     surrogate_init,
+    synth_bss,
 )
 
 from conftest import (
@@ -357,3 +363,112 @@ class TestCauchyDirectionProperties:
         )
         assert out.status is GcdStatus.NOT_FOUND
         assert np.linalg.norm(out.direction.euclidean) == 0.0
+
+
+def _bench_shape_instance(rng):
+    """Box ``[-1, 1]^600`` x ``Stiefel(3, 3)`` with ten pairs near ``theta I``.
+
+    With ``y`` a positive diagonal scaling of ``s`` the model stays close to
+    a multiple of the identity, so the steepest-descent path crosses about
+    200 breakpoints before its minimizer, as the longest searches of the
+    ``bss-large`` benchmark do.
+    """
+    n = 600
+    geom = Geometry(BoxBounds(-np.ones(n), np.ones(n)), Stiefel(3, 3))
+    p = geom.random_point(rng)
+    mem = LbfgsMemory(capacity=10)
+    for _ in range(10):
+        s = geom.random_tangent(p, rng)
+        scale = rng.uniform(0.5, 1.5, n)
+        y = ProductTangent(scale * s.euclidean, rng.uniform(0.5, 1.5) * s.manifold)
+        mem.push(geom, p, s, y)
+    assert mem.size == 10
+    grad = geom.random_tangent(p, rng)
+    return geom, p, grad, -1.0 * grad, mem
+
+
+class TestManyCrossings:
+    def test_bench_shape_oracle(self, rng, monkeypatch):
+        crossed = []
+
+        def spy(state, mem, t, dt, b, d_b):
+            out = segment_values(state, mem, t, dt, b, d_b)
+            crossed.append((t, b))
+            ref = mem.basis_diag(b)
+            assert abs(state.diag - ref) <= 1e-12 * (1.0 + abs(ref))
+            return out
+
+        monkeypatch.setattr(gcd_mod, "segment_values", spy)
+        for _ in range(2):
+            geom, p, grad, d, mem = _bench_shape_instance(rng)
+            crossed.clear()
+            out = generalized_cauchy_direction(geom, p, grad, d, mem)
+            assert out.status is GcdStatus.FOUND_LIMITED
+            assert len(crossed) >= 100
+
+            # Re-drive the incremental updates over the same crossings and
+            # check each against from-scratch pairings of the path pieces.
+            f1 = geom.inner(p, grad, d)
+            f2 = mem.pairing(geom, p, d, d)
+            state = surrogate_init(mem, geom, p, d)
+            t_old = 0.0
+            for t, b in crossed:
+                d_b = float(d.euclidean[b])
+                v1, v2 = segment_values(state, mem, t, t - t_old, b, d_b)
+                f1 = f1 + (t - t_old) * f2 - d_b * (float(grad.euclidean[b]) + v1)
+                f2 = f2 - 2.0 * d_b * v2 + d_b * d_b * state.diag
+                t_old = t
+                d_hat, z = _path_pieces(geom, p, d, t)
+                f1_ref = geom.inner(p, grad, d_hat) + mem.pairing(geom, p, d_hat, z)
+                f2_ref = mem.pairing(geom, p, d_hat, d_hat)
+                assert abs(f1 - f1_ref) <= 1e-9 * (1.0 + abs(f1_ref))
+                assert abs(f2 - f2_ref) <= 1e-9 * (1.0 + abs(f2_ref))
+
+            target = p.euclidean + out.direction.euclidean
+            assert np.all(target >= geom.box.lower)
+            assert np.all(target <= geom.box.upper)
+
+
+class TestCauchyCallCounts:
+    """Algorithm CP's cost: ``W d`` once per search, one ``M w_b`` per crossing."""
+
+    COUNTED = (
+        "coefficients", "bilinear", "apply_middle", "basis_coefficients", "pairing", "basis_diag"
+    )
+
+    def test_one_middle_product_per_crossing(self, monkeypatch):
+        counts = dict.fromkeys(self.COUNTED + ("crossings",), 0)
+        per_call = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def search(*args):
+            before = dict(counts)
+            out = generalized_cauchy_direction(*args)
+            per_call.append({k: counts[k] - before[k] for k in counts})
+            return out
+
+        for name in self.COUNTED:
+            monkeypatch.setattr(LbfgsMemory, name, counted(name, getattr(LbfgsMemory, name)))
+        monkeypatch.setattr(gcd_mod, "segment_values", counted("crossings", segment_values))
+        monkeypatch.setattr(solver_mod, "generalized_cauchy_direction", search)
+
+        bss = bss_problem(synth_bss(k=3, r=3, n=50, amplitude=1.0, seed=0, lam=0.1))
+        solve(bss, bss.initial_point)
+        for prob in euclidean_suite():
+            solve(prob, prob.initial_point)
+        assert len(per_call) > 100
+        assert sum(c["crossings"] for c in per_call) >= 30
+        for c in per_call:
+            assert c["coefficients"] == 1
+            assert c["bilinear"] == 1
+            assert c["basis_coefficients"] == c["crossings"]
+            # bilinear's product for <d, H[d]>, then one per crossing
+            assert c["apply_middle"] == c["crossings"] + 1
+        assert counts["pairing"] == 0
+        assert counts["basis_diag"] == 0

@@ -17,6 +17,7 @@ from rlbfgsb import (
     synth_bss,
     synth_cpc,
 )
+from rlbfgsb.problems import _log_cosh
 
 
 def fd_slope_check(problem, point, rng, n_dirs=20, h=1e-6, rtol=1e-5):
@@ -114,6 +115,26 @@ class TestBss:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             synth_bss(k=4, r=3, n=10, amplitude=1.0, seed=0)
+
+    def test_log_cosh_matches_logaddexp(self, rng):
+        # The cost's written-out log cosh agrees with the logaddexp form to
+        # about an ulp of log 2, keeps +-0 at zero and +-inf at inf, and
+        # propagates NaN.
+        s = np.concatenate(
+            [
+                [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-300, 18.5, -18.5],
+                np.linspace(-800.0, 800.0, 16001),
+                rng.uniform(-1.0, 1.0, 4000),
+            ]
+        )
+        with np.errstate(invalid="ignore"):  # logaddexp(inf, -inf) on the reference side
+            ref = np.logaddexp(s, -s) - math.log(2.0)
+        got = _log_cosh(s)
+        assert_allclose(got, ref, rtol=0.0, atol=4.5e-16)
+        assert np.array_equal(np.isnan(got), np.isnan(s))
+        assert got[0] == 0.0 and got[1] == 0.0
+        assert got[2] == np.inf and got[3] == np.inf
+        assert np.array_equal(got, _log_cosh(-s), equal_nan=True)
 
 
 class TestCpc:
