@@ -19,12 +19,13 @@ breakpoint times and sorts only those, doubling the chunk when it runs out,
 so its cost follows the breakpoints crossed rather than the box dimension.
 
 The search is capped by a sentinel breakpoint at the manifold's maximum
-step size.  The returned direction is ``t_* d`` with every coordinate whose
-bound was passed clamped to the exact bound offset, together with a status
-flag.  The status fixes the largest multiplier of that direction the line
-search may try: 1 when the path has a finite box breakpoint (the direction
-ends at or before the next bound it would cross, so the unit step is
-feasible and a longer one may not be), and unbounded when it has none.
+step size; without a box the walk is that sentinel alone.  The returned
+direction is ``t_* d`` with every coordinate whose bound was passed clamped
+to the exact bound offset, together with a status flag.  The status fixes
+the largest multiplier of that direction the line search may try: 1 when
+the path has a finite box breakpoint (the direction ends at or before the
+next bound it would cross, so the unit step is feasible and a longer one
+may not be), and unbounded when it has none.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def compute_breakpoints(
     tangent cone first.
     """
     times = np.where(d_d < 0, bounds.lower, bounds.upper)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         times -= p_d
         times /= d_d
     times[d_d == 0] = np.inf
@@ -203,7 +204,8 @@ def generalized_cauchy_direction(
         t_manifold_max = geom.max_stepsize(p)
     bounds = geom.box
     x, d_eu, g_eu = p.euclidean, d.euclidean, grad.euclidean
-    bps = compute_breakpoints(bounds, x, d_eu, t_manifold_max)
+    bps = compute_breakpoints(bounds, x, d_eu, t_manifold_max) if bounds.n else None
+    walk = [(float(t_manifold_max), -1)] if bps is None else bps.walk()  # the sentinel alone
 
     qs = surrogate_init(mem, geom, p, d)
     f1 = geom.inner(p, grad, d)
@@ -215,7 +217,7 @@ def generalized_cauchy_direction(
     t_old = 0.0
     # The walk always ends with the sentinel, so the loop leaves by a break
     # with t the time of the last breakpoint walked.
-    for t, b in bps.walk():
+    for t, b in walk:
         dt = t - t_old
         if not dt_min > dt:
             # Minimizer lies within the current segment.
@@ -240,10 +242,11 @@ def generalized_cauchy_direction(
         return GcdOutcome(geom.zero_tangent(p), GcdStatus.NOT_FOUND)
 
     direction = t_star * d
-    if bounds.n:
+    if bps is not None:
         _clamp_into_box(bounds, x, d_eu, direction.euclidean, (bps.times < t).nonzero()[0])
 
-    status = GcdStatus.FOUND_LIMITED if bps.candidates.size else GcdStatus.FOUND_UNLIMITED
+    limited = bps is not None and bps.candidates.size
+    status = GcdStatus.FOUND_LIMITED if limited else GcdStatus.FOUND_UNLIMITED
     return GcdOutcome(direction, status)
 
 

@@ -71,9 +71,9 @@ class BoxBounds:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.ndim != 1 or upper.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
-        if np.any(lower == np.inf) or np.any(upper == -np.inf):
+        if (lower == np.inf).any() or (upper == -np.inf).any():
             raise ValueError("lower bounds must be < +inf and upper bounds > -inf")
-        if np.any(lower > upper):
+        if (lower > upper).any():
             raise ValueError("lower bounds must not exceed upper bounds")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)

@@ -30,17 +30,19 @@ The inverse operator ``B = H^{-1}`` is applied in the compact form of Byrd,
 Nocedal and Schnabel (1994), ``B q = gamma q + X^T K X q`` with
 ``gamma = 1 / theta`` and a ``2 mu x 2 mu`` kernel ``K`` built from
 ``R = triu(S Y^T)``, ``D`` and ``Y Y^T``; it is the exact inverse of the
-Hessian form, which the test-suite checks against dense oracles.
+Hessian form, which the test-suite checks against dense oracles.  On a free
+face (no box coordinate masked out) ``K`` is built from the cached Gram
+matrix as it is: every stored pair passed the curvature test on it.
 
 Every inner product between stored rows is read from a cached Gram matrix
 ``X X^T``.  Its part over the box columns is cached too, because transport,
-the identity on the box, leaves it unchanged: a transport recomputes only
-the manifold columns' products, :meth:`~LbfgsMemory.push` adds only the new
-pair's rows and columns, and an eviction shifts these small matrices, not
-the rows.  The rows live in a window of ``2 capacity + 1`` slots: an
-eviction only advances the window's start, so ``X`` stays one contiguous
-block, and the live block is copied back to the front once every
-``capacity + 1`` evictions.
+the identity on the box, leaves it unchanged.  The two are stacked, so one
+store updates both: a transport recomputes only the manifold columns'
+products, :meth:`~LbfgsMemory.push` adds only the new pair's rows and
+columns, and an eviction shifts these small matrices, not the rows.  The
+rows live in a window of ``2 capacity + 1`` slots: an eviction only advances
+the window's start, so ``X`` stays one contiguous block, and the live block
+is copied back to the front once every ``capacity + 1`` evictions.
 
 Between outer iterations the pairs, the step and the old gradient (in the
 slot after the newest pair) are carried to the accepted point by vector
@@ -121,11 +123,11 @@ class LbfgsMemory:
         self._allocate(0)
         self._start = 0
         self._size = 0
-        # Gram matrices of X over the box columns and over all columns; the
-        # leading 2 _size rows and columns are live, the next two take a
-        # candidate pair.
-        self._gram_box = np.zeros((2 * self.capacity + 2,) * 2)
-        self._gram = np.zeros_like(self._gram_box)
+        # Gram matrices of X over the box columns and over all columns,
+        # stacked so that one store updates both; the leading 2 _size rows
+        # and columns are live, the next two take a candidate pair.
+        self._grams = np.zeros((2,) + (2 * self.capacity + 2,) * 2)
+        self._gram_box, self._gram = self._grams
         self._strict_lower = np.tri(self.capacity, k=-1, dtype=bool)
         self._upper = ~self._strict_lower
         self._middle = np.zeros((0, 0))
@@ -216,11 +218,13 @@ class LbfgsMemory:
         self._rows[slot, 0], self._rows[slot, 1] = s.data, y.data
         x = self._flat[2 * self._start : 2 * slot + 2]
         nb = geom.box.n
-        col = x[:, :nb] @ x[m:, :nb].T
-        self._set_new_column(self._gram_box, col)
-        col += x[:, nb:] @ x[m:, nb:].T
-        self._set_new_column(self._gram, col)
-        sy, yy = col[m, 1], col[m + 1, 1]
+        col = np.empty((2, m + 2, 2))  # the new columns of the box and the full Gram
+        col[0] = x[:, :nb] @ x[m:, :nb].T
+        col[1] = col[0] + x[:, nb:] @ x[m:, nb:].T
+        col[:, m + 1, 0] = col[:, m, 1]  # one value for <s, y>, so the Grams stay symmetric
+        self._grams[:, : m + 2, m : m + 2] = col
+        self._grams[:, m : m + 2, : m + 2] = col.transpose(0, 2, 1)
+        sy, yy = col[1, m, 1], col[1, m + 1, 1]
         if not self._passes_curvature(sy, yy):
             if self._stale:
                 self._refresh_middle()
@@ -232,21 +236,12 @@ class LbfgsMemory:
         self._refresh_middle()
         return True
 
-    @staticmethod
-    def _set_new_column(gram: np.ndarray, col: np.ndarray) -> None:
-        """Write the last two rows and columns of the leading block from ``col``."""
-        m = col.shape[0] - 2
-        col[m + 1, 0] = col[m, 1]  # one value for <s, y>, so the Gram stays symmetric
-        gram[: m + 2, m : m + 2] = col
-        gram[m : m + 2, : m + 2] = col.T
-
     def _evict(self) -> None:
         """Drop the oldest pair by advancing the window; rewind it when it runs out."""
         self._start += 1
         self._size -= 1
         k = 2 * self._size
-        for gram in (self._gram_box, self._gram):
-            gram[:k, :k] = gram[2 : k + 2, 2 : k + 2]
+        self._grams[:, :k, :k] = self._grams[:, 2 : k + 2, 2 : k + 2]
         if self._start + self._size == self._rows.shape[0]:
             self._rows[: self._size] = self._rows[self._start :]
             self._start = 0
@@ -287,8 +282,7 @@ class LbfgsMemory:
         if dropped:
             self._rows[lo : lo + keep.size + 1] = self._rows[lo + np.append(keep, n)]
             idx = _interleaved(keep)
-            for gram in (self._gram_box, self._gram):
-                gram[: idx.size, : idx.size] = gram[np.ix_(idx, idx)]
+            self._grams[:, : idx.size, : idx.size] = self._grams[:, idx[:, None], idx]
         self._size = keep.size
         self._stale = True
         return dropped
@@ -320,7 +314,7 @@ class LbfgsMemory:
         # complement Q + L D^{-1} L^T.
         ld = low / d[None, :]
         schur = q + ld @ (d[:, None] * ld.T)
-        eigs = np.linalg.eigvalsh(schur) if np.all(np.isfinite(schur)) else None
+        eigs = np.linalg.eigvalsh(schur) if np.isfinite(schur).all() else None
         if eigs is None or not eigs[0] > 0.0 or eigs[-1] > _COND_LIMIT * eigs[0]:
             raise SingularMiddleMatrix(
                 "middle matrix is numerically singular; memory must be reset"
@@ -329,7 +323,7 @@ class LbfgsMemory:
         top_right = ld.T @ schur_inv
         middle = np.empty((2 * mu, 2 * mu))
         middle[:mu, :mu] = top_right @ ld
-        middle[np.arange(mu), np.arange(mu)] -= 1.0 / d
+        middle.flat[: 2 * mu * mu : 2 * mu + 1] -= 1.0 / d  # the top-left diagonal
         middle[:mu, mu:] = top_right
         middle[mu:, :mu] = top_right.T
         middle[mu:, mu:] = schur_inv
@@ -427,19 +421,27 @@ class LbfgsMemory:
         there whenever ``x`` is the projected negative gradient.  The face
         Gram matrix is the cached one minus the active columns' products,
         and masked-out components of the result are zero.  Without a
-        masked-out coordinate the subtracted products and both floors are
-        zero, so every stored pair is used.  The result wraps a new flat
-        vector.
+        masked-out coordinate nothing is subtracted, both floors reduce to
+        the curvature test that every stored pair passed on this Gram matrix
+        in :meth:`push` or :meth:`transport`, and the cached Gram matrix is
+        used as it is, with the same bits.  The result wraps a new vector.
         """
-        q = x.data.copy()
-        active = np.flatnonzero(~free_mask) if free_mask is not None else np.zeros(0, int)
-        q[active] = 0.0
+        q = x.data
+        free = free_mask is None or free_mask.all()
+        if not free:
+            active = np.flatnonzero(~free_mask)
+            q = q.copy()
+            q[active] = 0.0
         if not self._size:
             return geom.unpack((1.0 / self.theta) * q)
         rows = self._live
+        gram = self._gram[: rows.shape[0], : rows.shape[0]]
+        if free:
+            gamma, kernel = self._inverse_kernel(gram)
+            return geom.unpack(gamma * q + (kernel @ (rows @ q)) @ rows)
         cols = rows[:, active]
         act = cols @ cols.T
-        face = self._gram[: rows.shape[0], : rows.shape[0]] - act
+        face = gram - act
         sy, yy = face.diagonal(1)[0::2], face.diagonal()[1::2]
         act_ss, act_yy = act.diagonal()[0::2], act.diagonal()[1::2]
         usable = (

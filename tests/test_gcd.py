@@ -1,6 +1,7 @@
 """Generalized Cauchy direction tests: breakpoints, segment updates, search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ class TestComputeBreakpoints:
         b = BoxBounds(np.zeros(3), np.array([3.0, 2.0, 2.0]))
         out = compute_breakpoints(b, np.zeros(3), np.ones(3), t_manifold_max=2.0)
         assert list(out.walk()) == [(2.0, -1), (2.0, 1), (2.0, 2), (3.0, 0)]
+
+    def test_subnormal_component_overflows_to_inf_quietly(self):
+        # A finite offset over 5e-324 overflows the division; the time is
+        # +inf either way, and no floating-point warning reaches the caller.
+        b = BoxBounds(-np.ones(2), np.ones(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = compute_breakpoints(b, np.zeros(2), np.array([5e-324, -5e-324]))
+        assert np.all(out.times == np.inf)
 
 
 class TestSurrogateInit:
@@ -472,3 +482,41 @@ class TestCauchyCallCounts:
             assert c["apply_middle"] == c["crossings"] + 1
         assert counts["pairing"] == 0
         assert counts["basis_diag"] == 0
+
+    def test_breakpoints_only_with_a_box(self, monkeypatch):
+        # Without a box the walk is the sentinel alone: no breakpoint times
+        # are computed and the step is unbounded; with one, one set per search.
+        calls, outcomes = [0], []
+
+        def counted(*args):
+            calls[0] += 1
+            return compute_breakpoints(*args)
+
+        def search(*args):
+            outcomes.append(generalized_cauchy_direction(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(gcd_mod, "compute_breakpoints", counted)
+        monkeypatch.setattr(solver_mod, "generalized_cauchy_direction", search)
+
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((8, 8))
+        a, sph = b + b.T, Sphere(8)
+
+        def grad(p):
+            x = p.manifold
+            return ProductTangent(np.zeros(0), sph.project_tangent(x, 2.0 * a @ x))
+
+        geom = Geometry(BoxBounds.empty(), sph)
+        rayleigh = rb.Problem(geom, lambda p: float(p.manifold @ a @ p.manifold), grad)
+        solve(rayleigh, ProductPoint(np.zeros(0), sph.random_point(rng)))
+        assert len(outcomes) > 10
+        assert calls[0] == 0
+        assert all(out.status is GcdStatus.FOUND_UNLIMITED for out in outcomes)
+        assert all(out.t_max == np.inf for out in outcomes)
+
+        outcomes.clear()
+        for prob in euclidean_suite():
+            solve(prob, prob.initial_point)
+        assert len(outcomes) > 10
+        assert calls[0] == len(outcomes)

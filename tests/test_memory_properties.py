@@ -128,6 +128,54 @@ def test_all_free_mask_equals_no_mask(case):
     np.testing.assert_array_equal(masked.data, full.data)
 
 
+def face_formula_inverse(mem, x, free_mask):
+    """The face-restricted formula of ``apply_inverse`` for every mask, a free one included.
+
+    Subtracts the active columns' products (none on a free face), floors the
+    face curvatures against them, and scatters the kernel product into the
+    usable pairs' coefficients; kept as the bitwise oracle of the operator.
+    """
+    q = x.copy()
+    active = np.flatnonzero(~free_mask) if free_mask is not None else np.zeros(0, int)
+    q[active] = 0.0
+    if not mem.size:
+        return (1.0 / mem.theta) * q
+    rows = np.array([row for pair in zip(mem.S, mem.Y) for row in pair])  # s_0, y_0, s_1, ...
+    cols = rows[:, active]
+    act = cols @ cols.T
+    face = mem._gram[: rows.shape[0], : rows.shape[0]] - act
+    sy, yy = face.diagonal(1)[0::2], face.diagonal()[1::2]
+    act_ss, act_yy = act.diagonal()[0::2], act.diagonal()[1::2]
+    usable = (
+        (yy > 0.0)
+        & (sy >= mem.curvature_eps * yy)
+        & (yy > 1e-12 * act_yy)
+        & (sy > 1e-12 * np.sqrt(act_ss * act_yy))
+    )
+    if not usable.any():
+        return q
+    idx = np.flatnonzero(np.repeat(usable, 2))
+    gamma, kernel = mem._inverse_kernel(face[np.ix_(idx, idx)])
+    coef = np.zeros(rows.shape[0])
+    coef[idx] = kernel @ (rows @ q)[idx]
+    r = gamma * q + coef @ rows
+    r[active] = 0.0
+    return r
+
+
+@SETTINGS
+@given(cases(), st.sampled_from(["none", "all free", "drawn"]))
+def test_inverse_matches_face_formula_bitwise(case, which):
+    # A free face reads the cached Gram matrix as it is; it must give the
+    # same bits as the face formula with nothing masked out.
+    geom, p, mem, rng, mask = case
+    free_mask = {"none": None, "all free": np.ones_like(mask), "drawn": mask}[which]
+    x = geom.random_tangent(p, rng)
+    got = mem.apply_inverse(geom, p, x, free_mask=free_mask).data
+    want = face_formula_inverse(mem, x.data, free_mask)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @SETTINGS
 @given(cases(), st.floats(0.0, 3.0))
 def test_transport_matches_per_vector_transport(case, scale):
