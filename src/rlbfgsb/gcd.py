@@ -9,14 +9,15 @@ Projecting the ray onto the box yields a piecewise-linear path ``d_PL(t)``
 
 is piecewise quadratic in ``t``; its first local minimizer ``t_*`` is found
 as in Algorithm CP of Byrd, Lu, Nocedal and Zhu (1995), by walking the
-breakpoints in time order and updating the segment slope ``f'`` and
-curvature ``f''`` incrementally.  ``W d`` is formed once per search.  A
-crossing of coordinate ``b`` takes one column ``w_b`` of ``W`` and one
-product ``M w_b``, and its three Hessian values are dot products with it.
-:class:`SegmentState` carries the coefficient vectors of the path point and
-of the moving direction.  The walk partitions off the next few smallest
-breakpoint times and sorts only those, doubling the chunk when it runs out,
-so its cost follows the breakpoints crossed rather than the box dimension.
+breakpoints in time order and updating the segment slope ``f'`` and curvature
+``f''`` incrementally.  With the memory's ``H = theta I - X^T M X`` over its
+stored rows ``X``, ``X d`` is formed once per search, and a crossing of
+coordinate ``b`` takes the column ``w_b = X[:, b]`` and one product ``M w_b``;
+its three Hessian values are dot products with them.  :class:`SegmentState`
+carries the coefficient vectors of the path point and of the moving
+direction.  The walk partitions off the next few smallest breakpoint times
+and sorts only those, doubling the chunk when it runs out, so its cost
+follows the breakpoints crossed rather than the box dimension.
 
 The search is capped by a sentinel breakpoint at the manifold's maximum
 step size; without a box the walk is that sentinel alone.  The returned
@@ -146,10 +147,10 @@ def compute_breakpoints(
 class SegmentState:
     """Coefficient vectors carried across segments, and the last crossing's diagonal.
 
-    ``c = W(x_c - x)`` are the coefficients of the accumulated path point and
-    ``p = W d_hat`` those of the still-moving direction, both in the layout of
-    :meth:`LbfgsMemory.coefficients` (``c`` starts at zero, ``p`` at ``W d``).
-    ``diag = theta - w_b^T M w_b`` is ``<e_b, H[e_b]>`` for the last ``b`` crossed.
+    Both are ``X``-coordinates, one entry per stored row: ``c = X (x_c - x)``
+    for the accumulated path point and ``p = X d_hat`` for the still-moving
+    direction (``c`` starts at zero, ``p`` at ``X d``).  ``diag`` is
+    ``<e_b, H[e_b]> = theta - w_b^T M w_b`` for the last ``b`` crossed.
     """
 
     c: np.ndarray
@@ -160,7 +161,7 @@ class SegmentState:
 def surrogate_init(
     mem: LbfgsMemory, geom: Geometry, p: ProductPoint, d: ProductTangent
 ) -> SegmentState:
-    """Start-of-path coefficient vectors: ``c = 0`` and ``p = W d``."""
+    """Start-of-path coefficient vectors: ``c = 0`` and ``p = X d``."""
     p_coef = mem.coefficients(d.data)
     return SegmentState(c=np.zeros_like(p_coef), p=p_coef)
 
@@ -174,7 +175,7 @@ def segment_values(
     ``v1 = <e_b, H[Z]>`` (``Z`` the path point at ``t``) and
     ``v2 = <e_b, H[dhat]>`` (``dhat`` the direction active on the segment of
     length ``dt`` that just ended), and sets ``state.diag``: all three from
-    one column ``w_b`` of ``W`` and one product ``M w_b``.
+    the column ``w_b = X[:, b]`` and one product ``M w_b``.
     """
     state.c += dt * state.p
     w_b = mem.basis_coefficients(b)

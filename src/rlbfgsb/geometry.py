@@ -77,10 +77,7 @@ class BoxBounds:
             raise ValueError("lower bounds must not exceed upper bounds")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-
-    @property
-    def n(self) -> int:
-        return self.lower.shape[0]
+        object.__setattr__(self, "n", lower.shape[0])  # read on every geometry call
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         """Clip ``x`` componentwise into ``[lower, upper]``."""

@@ -2,33 +2,29 @@
 
 The Hessian approximation is never materialized.  It is represented by up to
 ``capacity`` stored pairs ``(s_i, y_i)`` (step and gradient difference, both
-tangent at the current iterate), a positive scaling ``theta``, and a small
-``2 mu x 2 mu`` "middle matrix" ``M``:
+tangent at the current iterate), kept as the interleaved rows
+``s_0, y_0, s_1, y_1, ...`` of one ``(2 mu, N)`` block ``X`` of packed tangents
+(:attr:`ProductTangent.data`), oldest first (``S`` and ``Y`` are its even and
+odd rows), a positive scaling ``theta``, and two ``2 mu x 2 mu`` matrices
+indexed like the rows of ``X``:
 
-    <X, H[Y]> = theta <X, Y> - W(X)^T  M  W(Y)
+    H = theta I - X^T M X,        B = H^{-1} = gamma I + X^T K X.
 
-with the coefficient map ``W(X) = [<y_i, X>; theta <s_i, X>]`` (the y-half
-first, then the theta-scaled s-half).
-``M`` is the inverse of the block matrix ``[[-D, L^T], [L, Q]]`` where
-``D = diag(<s_i, y_i>)``, ``Q = theta [<s_i, s_j>]`` and ``L`` is the strictly
-lower triangular part of ``[<s_i, y_j>]``.  The inverse is assembled from the
-inverse of the Schur complement ``Q + L D^{-1} L^T``, which is symmetric
-positive definite whenever the pairs pass the curvature test; its extreme
-eigenvalues decide whether ``M`` is usable.
+The middle matrix ``M`` is the inverse of the block matrix
+``[[-D, L^T], [L, theta S S^T]]`` of Byrd, Nocedal and Schnabel (1994)
+(``D = diag(<s_i, y_i>)``, ``L`` the strictly lower triangular part of
+``[<s_i, y_j>]``), its y-half and s-half interleaved like ``X`` and ``theta``
+folded into its s rows and columns; :meth:`~LbfgsMemory.middle_matrix` maps
+it back to that block order.  It is assembled from the inverse of the Schur
+complement ``theta S S^T + L D^{-1} L^T``, which is symmetric positive
+definite whenever the pairs pass the curvature test; its extreme eigenvalues
+decide whether ``M`` is usable.  So the coefficients of a flat tangent ``v``
+are ``X v`` (:meth:`~LbfgsMemory.coefficients`), those of the basis vector
+``e_b`` are column ``b`` of ``X`` (:meth:`~LbfgsMemory.basis_coefficients`),
+:meth:`~LbfgsMemory.bilinear` evaluates ``a^T M b``, and an empty memory
+maps everything to the empty vector.
 
-The pairs are the interleaved rows ``s_0, y_0, s_1, y_1, ...`` of one
-``(2 mu, N)`` block ``X`` of packed tangents (:attr:`ProductTangent.data`),
-oldest first; ``S`` and ``Y`` are its even and odd rows.  :class:`LbfgsMemory`
-alone knows the coefficient layout: :meth:`~LbfgsMemory.coefficients` maps a
-flat tangent to ``W X = [Y X.data; theta S X.data]``,
-:meth:`~LbfgsMemory.basis_coefficients` gives column ``b`` of ``W`` (the
-coefficients of the basis vector ``e_b``), and :meth:`~LbfgsMemory.bilinear`
-evaluates ``a^T M b``.  An empty memory maps everything to the empty vector,
-so ``<X, H[Y]>`` is ``theta <X, Y>``.
-
-The inverse operator ``B = H^{-1}`` is applied in the compact form of Byrd,
-Nocedal and Schnabel (1994), ``B q = gamma q + X^T K X q`` with
-``gamma = 1 / theta`` and a ``2 mu x 2 mu`` kernel ``K`` built from
+``B`` has ``gamma = 1 / theta`` and a kernel ``K`` built from
 ``R = triu(S Y^T)``, ``D`` and ``Y Y^T``; it is the exact inverse of the
 Hessian form, which the test-suite checks against dense oracles.  On a free
 face (no box coordinate masked out) ``K`` is built from the cached Gram
@@ -47,11 +43,11 @@ is copied back to the front once every ``capacity + 1`` evictions.
 Between outer iterations the pairs, the step and the old gradient (in the
 slot after the newest pair) are carried to the accepted point by vector
 transport: the identity on the box, one batched call for the manifold
-columns.  Pairs whose curvature ``<s, y> >= eps ||y||^2`` the transport
-destroys are discarded, which keeps the operator positive definite;
-:func:`make_pair` forms the new pair from the carried slot.  Transport
-leaves ``M`` stale; the following :meth:`LbfgsMemory.push` rebuilds it once,
-and any read before that does.
+columns.  Pairs that the transport leaves failing the curvature test
+(``<s, y> > 0`` and ``<s, y> >= eps ||y||^2``) are discarded, which keeps the
+operator positive definite; :func:`make_pair` forms the new pair from the
+carried slot.  Transport leaves ``M`` stale; the following
+:meth:`LbfgsMemory.push` rebuilds it once, and any read before that does.
 """
 
 from __future__ import annotations
@@ -187,7 +183,8 @@ class LbfgsMemory:
     # Updates
 
     def _passes_curvature(self, sy, yy):
-        return (yy > 0.0) & (sy >= self.curvature_eps * yy)
+        # sy > 0 also rejects a pair whose curvature_eps * yy underflows to 0
+        return (yy > 0.0) & (sy > 0.0) & (sy >= self.curvature_eps * yy)
 
     def _fit(self, geom: Geometry, width: int) -> None:
         """Size the rows for packed tangents of ``width``; a new width resets the memory."""
@@ -321,12 +318,12 @@ class LbfgsMemory:
             )
         schur_inv = np.linalg.inv(schur)
         top_right = ld.T @ schur_inv
-        middle = np.empty((2 * mu, 2 * mu))
-        middle[:mu, :mu] = top_right @ ld
-        middle.flat[: 2 * mu * mu : 2 * mu + 1] -= 1.0 / d  # the top-left diagonal
-        middle[:mu, mu:] = top_right
-        middle[mu:, :mu] = top_right.T
-        middle[mu:, mu:] = schur_inv
+        theta = self.theta
+        middle = np.empty((2 * mu, 2 * mu))  # indexed like the rows of X
+        middle[1::2, 1::2] = top_right @ ld - np.diag(1.0 / d)
+        middle[1::2, 0::2] = theta * top_right
+        middle[0::2, 1::2] = theta * top_right.T
+        middle[0::2, 0::2] = theta * theta * schur_inv
         self._middle = (middle + middle.T) / 2.0
         self._stale = False
 
@@ -336,22 +333,26 @@ class LbfgsMemory:
         return self._middle
 
     def middle_matrix(self) -> np.ndarray:
-        """The ``2 mu x 2 mu`` inverse block matrix (a copy)."""
-        return self._current_middle().copy()
+        """The inverse of ``[[-D, L^T], [L, theta S S^T]]`` in that block order (a new array).
+
+        The only adapter from ``M``: the y-half first, ``theta`` divided out.
+        """
+        middle = self._current_middle()
+        order = np.r_[1 : len(middle) : 2, 0 : len(middle) : 2]
+        scale = np.where(order % 2, 1.0, 1.0 / self.theta)
+        return middle[order][:, order] * np.outer(scale, scale)
 
     def coefficients(self, v: np.ndarray) -> np.ndarray:
-        """``W v = [Y v; theta S v]`` for the flat tangent ``v``; empty without pairs."""
+        """``X v`` for the flat tangent ``v``; empty without pairs."""
         if not self._size:
             return np.zeros(0)
-        xv = self._live @ v
-        return np.concatenate([xv[1::2], self.theta * xv[0::2]])
+        return self._live @ v
 
     def basis_coefficients(self, b: int) -> np.ndarray:
-        """Column ``b`` of ``W``: the coefficients of the basis vector ``e_b``."""
+        """Column ``b`` of ``X``, the coefficients of the basis vector ``e_b`` (a view)."""
         if not self._size:
             return np.zeros(0)
-        xb = self._live[:, b]
-        return np.concatenate([xb[1::2], self.theta * xb[0::2]])
+        return self._live[:, b]
 
     def apply_middle(self, w: np.ndarray) -> np.ndarray:
         """``M w`` for a coefficient vector, formed as ``w^T M`` (``M`` is symmetric)."""

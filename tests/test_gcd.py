@@ -104,7 +104,7 @@ class TestSurrogateInit:
         y = ProductTangent([1.0, 1.0])
         mem.push(geom, p, s, y)
         state = surrogate_init(mem, geom, p, s)
-        assert_allclose(state.p, [1.0, mem.theta * 1.0])
+        assert_allclose(state.p, [1.0, 1.0])  # <s, s>, <y, s>
         assert_allclose(state.c, [0.0, 0.0])
 
     def test_matches_memory_coefficients(self, rng):
@@ -113,9 +113,8 @@ class TestSurrogateInit:
         mem = fill_memory(geom, p, rng, pushes=3)
         d = geom.random_tangent(p, rng)
         state = surrogate_init(mem, geom, p, d)
-        p_y = [geom.inner(p, pr.y, d) for pr in mem.pairs]
-        p_s = [mem.theta * geom.inner(p, pr.s, d) for pr in mem.pairs]
-        assert_allclose(state.p, p_y + p_s)
+        rows = [geom.inner(p, v, d) for pr in mem.pairs for v in (pr.s, pr.y)]
+        assert_allclose(state.p, rows)
 
 
 def _walk_segments(geom, p, grad, d, mem):

@@ -1,6 +1,7 @@
 """Memory tests against dense BFGS oracles built by the direct update rules."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,18 @@ class TestPush:
         mem = LbfgsMemory(capacity=4)
         assert not mem.push(geom, ProductPoint([0.0]), ProductTangent([1.0]), ProductTangent([0.0]))
 
+    def test_underflowing_threshold_rejects_zero_curvature(self):
+        # <y, y> = 1e-320 makes curvature_eps * <y, y> underflow to 0, so
+        # <s, y> = 0 would pass the threshold alone and set theta = inf
+        geom = flat_geom(2)
+        mem = LbfgsMemory()
+        s, y = ProductTangent([1.0, 0.0]), ProductTangent([0.0, 1e-160])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not mem.push(geom, ProductPoint(np.zeros(2)), s, y)
+        assert mem.size == 0
+        assert mem.theta == 1.0
+
     def test_fifo_eviction(self):
         geom = flat_geom(2)
         p = ProductPoint(np.zeros(2))
@@ -148,6 +161,24 @@ class TestTransportMemory:
                 break
         assert found, "no curvature-flipping case found in the search budget"
 
+    def test_underflowing_transported_curvature_drops_pair(self):
+        # The Stiefel(1, 2) projection shrinks the manifold parts by about
+        # 1e-10, so the transported <s, y> underflows to 0 while <y, y> keeps
+        # the box part's 1e-320 and curvature_eps * <y, y> underflows too.
+        geom = Geometry(BoxBounds.unbounded(1), Stiefel(1, 2))
+        p = ProductPoint([0.0], np.array([[1.0, 0.0]]))
+        mem = LbfgsMemory()
+        s = ProductTangent([0.0], np.array([[0.0, 1.0]]))
+        y = ProductTangent([1e-160], np.array([[0.0, 1e-305]]))
+        assert mem.push(geom, p, s, y)
+        step = ProductTangent([0.0], np.array([[0.0, 1e10]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mem.transport(geom, p, step, geom.zero_tangent(p)) == 1
+            assert mem.pairing(geom, p, s, s) == 1.0
+        assert mem.size == 0
+        assert mem.theta == 1.0
+
 
 class TestMiddleMatrix:
     def test_single_unit_pair(self):
@@ -197,6 +228,24 @@ class TestMiddleMatrix:
         mem.push(geom, p, ProductTangent([1e-8, 0.0]), ProductTangent([1e-8, 0.0]))
         with pytest.raises(rb.SingularMiddleMatrix):
             mem.push(geom, p, ProductTangent([0.0, 1e8]), ProductTangent([0.0, 1e8]))
+
+
+class TestRowLayout:
+    def test_coefficient_maps_read_the_rows(self, rng):
+        # The coefficients are X v and the columns of X, with X the
+        # interleaved rows s_0, y_0, s_1, ..., bit for bit.
+        geom = Geometry(BoxBounds.unbounded(4), Sphere(3))
+        p = geom.random_point(rng)
+        mem = LbfgsMemory(capacity=3)
+        for _ in range(5):  # two evictions advance the row window
+            s = geom.random_tangent(p, rng)
+            assert mem.push(geom, p, s, s + 0.1 * geom.random_tangent(p, rng))
+        rows = np.array([row.data for pr in mem.pairs for row in (pr.s, pr.y)])
+        v = geom.random_tangent(p, rng).data
+        assert np.array_equal(mem.coefficients(v).view(np.uint64), (rows @ v).view(np.uint64))
+        for b in range(geom.box.n):
+            want = rows[:, b].copy()
+            assert np.array_equal(mem.basis_coefficients(b).view(np.uint64), want.view(np.uint64))
 
 
 class TestPairing:

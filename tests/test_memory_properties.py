@@ -263,6 +263,37 @@ def test_middle_matrix_inverts_block_matrix(case):
     assert np.max(np.abs(residual)) <= 1e-9
 
 
+def dense_hessian(mem, width):
+    """The BFGS recursion over the packed rows of ``mem.pairs``, from ``theta I``."""
+    h = mem.theta * np.eye(width)
+    for pr in mem.pairs:
+        s, y = pr.s.data, pr.y.data
+        hs = h @ s
+        h = h - np.outer(hs, hs) / (s @ hs) + np.outer(y, y) / (y @ s)
+    return h
+
+
+def assert_pairing_matches_dense_hessian(geom, q, mem, rng):
+    """``pairing`` equals ``x^T H y`` to 1e-9 relative and is positive on ``x = y``."""
+    x, y = geom.random_tangent(q, rng), geom.random_tangent(q, rng)
+    h = dense_hessian(mem, x.data.size)
+    scale = np.linalg.norm(h, 2) * np.linalg.norm(x.data) * np.linalg.norm(y.data)
+    assert abs(mem.pairing(geom, q, x, y) - x.data @ h @ y.data) <= 1e-9 * scale
+    assert mem.pairing(geom, q, x, x) > 0.0
+
+
+@SETTINGS
+@given(cases(), st.floats(0.0, 3.0))
+def test_pairing_matches_dense_hessian_across_transport(case, scale):
+    # The Hessian form H = theta I - X^T M X over box, box x Sphere and
+    # box x Stiefel, before and after a transport that may drop pairs.
+    geom, p, mem, rng, _ = case
+    assert_pairing_matches_dense_hessian(geom, p, mem, rng)
+    step = scale * geom.random_tangent(p, rng)
+    mem.transport(geom, p, step, geom.random_tangent(p, rng))
+    assert_pairing_matches_dense_hessian(geom, geom.retract(p, step), mem, rng)
+
+
 @SETTINGS
 @given(cases(kinds=("sphere", "stiefel")), st.floats(0.5, 3.0))
 def test_transported_memory_reads_a_fresh_middle_matrix(case, scale):
