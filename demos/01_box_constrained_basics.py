@@ -55,8 +55,8 @@ print("\nbreakpoint times per coordinate:", bps.times)
 
 outcome = rb.generalized_cauchy_direction(geom, p, grad, d, rb.LbfgsMemory(), np.inf)
 print("Cauchy direction:", outcome.direction.euclidean)
-# FOUND_LIMITED: a finite breakpoint lies on the path, so the line search
-# may try multipliers of the direction up to 1 and no further.
-print("status:", outcome.status.value, "| largest line-search multiplier t_max =", outcome.t_max)
+# The direction ends at the first bound it would cross, so the line search
+# backtracks from its unit step and never tries a longer one.
+print("status:", outcome.status.value)
 print("coordinate 2 stops exactly at its bound:",
       p.euclidean[1] + outcome.direction.euclidean[1])

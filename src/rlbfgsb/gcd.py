@@ -19,14 +19,14 @@ direction.  The walk partitions off the next few smallest breakpoint times
 and sorts only those, doubling the chunk when it runs out, so its cost
 follows the breakpoints crossed rather than the box dimension.
 
-The search is capped by a sentinel breakpoint at the manifold's maximum
-step size; without a box the walk is that sentinel alone.  The returned
-direction is ``t_* d`` with every coordinate whose bound was passed clamped
-to the exact bound offset, together with a status flag.  The status fixes
-the largest multiplier of that direction the line search may try: 1 when
-the path has a finite box breakpoint (the direction ends at or before the
-next bound it would cross, so the unit step is feasible and a longer one
-may not be), and unbounded when it has none.
+The search is capped by a sentinel breakpoint at the time
+``max_stepsize / |d_M|`` at which the manifold part of the path reaches the
+manifold's maximum step length; without a box the walk is that sentinel
+alone.  The returned direction is ``t_* d`` with every coordinate whose
+bound was passed clamped to the exact bound offset.  It ends at or before
+the next bound it would cross, and its manifold part is no longer than the
+maximum step length, so the line search never needs a multiple of it
+above 1.
 """
 
 from __future__ import annotations
@@ -47,28 +47,16 @@ __all__ = [
 
 
 class GcdStatus(Enum):
-    FOUND_LIMITED = "found_limited"
-    FOUND_UNLIMITED = "found_unlimited"
+    FOUND = "found"
     NOT_FOUND = "not_found"
 
 
 @dataclass
 class GcdOutcome:
-    """Result of the search: the direction and how it was found."""
+    """Result of the search: the direction and whether one was found."""
 
     direction: ProductTangent
     status: GcdStatus
-
-    @property
-    def t_max(self) -> float:
-        """Largest multiplier of ``direction`` the line search may try.
-
-        ``1`` when the path has a finite box breakpoint, ``+inf`` when it
-        has none, and ``0`` when no direction was found.
-        """
-        if self.status is GcdStatus.FOUND_LIMITED:
-            return 1.0
-        return np.inf if self.status is GcdStatus.FOUND_UNLIMITED else 0.0
 
 
 # Breakpoints sorted by the first chunk of the walk; later chunks double it.
@@ -199,10 +187,13 @@ def generalized_cauchy_direction(
     bound pointing outward.  Degenerate data (zero slope or curvature, or a
     nonpositive minimizer) yields ``NOT_FOUND`` with the zero direction; the
     caller is then expected to discard its curvature memory and retry along
-    the projected steepest descent direction.
+    the projected steepest descent direction.  ``t_manifold_max`` places the
+    sentinel, in multiples of ``d``; by default the manifold part of the
+    path stops at length ``geom.max_stepsize(p)``.
     """
     if t_manifold_max is None:
-        t_manifold_max = geom.max_stepsize(p)
+        length = 0.0 if d.manifold is None else float(np.linalg.norm(d.manifold))
+        t_manifold_max = geom.max_stepsize(p) / length if length > 0.0 else np.inf
     bounds = geom.box
     x, d_eu, g_eu = p.euclidean, d.euclidean, grad.euclidean
     bps = compute_breakpoints(bounds, x, d_eu, t_manifold_max) if bounds.n else None
@@ -245,10 +236,7 @@ def generalized_cauchy_direction(
     direction = t_star * d
     if bps is not None:
         _clamp_into_box(bounds, x, d_eu, direction.euclidean, (bps.times < t).nonzero()[0])
-
-    limited = bps is not None and bps.candidates.size
-    status = GcdStatus.FOUND_LIMITED if limited else GcdStatus.FOUND_UNLIMITED
-    return GcdOutcome(direction, status)
+    return GcdOutcome(direction, GcdStatus.FOUND)
 
 
 def _clamp_into_box(

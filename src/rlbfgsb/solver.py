@@ -2,9 +2,10 @@
 
 Each step: apply the inverse compact operator to the negative gradient,
 project the result onto the tangent cone, run the generalized Cauchy search
-along it, and take an Armijo step within the interval the search allows,
-at the point the search retracted to; one batched transport carries the
-memory, step and old gradient there, and the new update pair is admitted.
+along it, and backtrack from the unit step of the Cauchy direction to an
+Armijo step, at the point the line search retracted to; one batched
+transport carries the memory, step and old gradient there, and the new
+update pair is admitted.
 
 The state keeps the projected steepest-descent direction of its iterate,
 the tangent-cone projection of the negative gradient: the quasi-Newton
@@ -97,14 +98,16 @@ class StepReport:
     ``pairs_dropped`` counts the stored pairs whose curvature the transport
     destroyed; ``pair_rejected`` says the curvature test refused the new
     pair.  A pair lost to a singular middle matrix counts under
-    ``memory_resets`` instead.  ``stop`` is the termination the step calls
-    for, if any.
+    ``memory_resets`` instead.  ``ls_evals`` counts the line-search cost
+    evaluations, those of a search that failed before a reset included.
+    ``stop`` is the termination the step calls for, if any.
     """
 
     alpha: float = 0.0
     cost: float = np.nan
     gcd_status: GcdStatus = GcdStatus.NOT_FOUND
     memory_resets: int = 0
+    ls_evals: int = 0
     pairs_dropped: int = 0
     pair_rejected: bool = False
     stop: Optional[Termination] = None
@@ -167,17 +170,13 @@ def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepRe
         else:
             slope = geom.inner(state.point, state.grad, outcome.direction)
             try:
-                alpha, f_new, _, p_new = armijo_capped(
-                    problem.cost,
-                    geom,
-                    state.point,
-                    outcome.direction,
-                    state.cost,
-                    slope,
-                    outcome.t_max,
+                alpha, f_new, evals, p_new = armijo_capped(
+                    problem.cost, geom, state.point, outcome.direction, state.cost, slope, 1.0
                 )
+                report.ls_evals += evals
                 break
-            except LineSearchError:
+            except LineSearchError as err:
+                report.ls_evals += err.evaluations
                 failure = Termination.LINE_SEARCH_FAILURE
         if reset:
             report.stop = failure

@@ -250,9 +250,8 @@ class TestCauchyDirectionExamples:
         out = generalized_cauchy_direction(
             geom, p, ProductTangent([1.0]), ProductTangent([-1.0]), LbfgsMemory(), np.inf
         )
-        assert out.status is GcdStatus.FOUND_LIMITED
+        assert out.status is GcdStatus.FOUND
         assert_allclose(out.direction.euclidean, [-1.0])
-        assert out.t_max == 1.0
 
     def test_interior_minimizer_before_bound(self):
         geom = box_geometry([-2.0], [np.inf])
@@ -260,9 +259,8 @@ class TestCauchyDirectionExamples:
         out = generalized_cauchy_direction(
             geom, p, ProductTangent([1.0]), ProductTangent([-1.0]), LbfgsMemory(), np.inf
         )
-        assert out.status is GcdStatus.FOUND_LIMITED
+        assert out.status is GcdStatus.FOUND
         assert_allclose(out.direction.euclidean, [-1.0])
-        assert out.t_max == 1.0  # a finite breakpoint allows no expansion
 
     def test_orthogonal_gradient_not_found(self):
         geom = box_geometry([-1.0, -1.0], [1.0, 1.0])
@@ -271,7 +269,6 @@ class TestCauchyDirectionExamples:
             geom, p, ProductTangent([1.0, 0.0]), ProductTangent([0.0, -1.0]), LbfgsMemory(), np.inf
         )
         assert out.status is GcdStatus.NOT_FOUND
-        assert out.t_max == 0.0
         assert np.linalg.norm(out.direction.euclidean) == 0.0
 
     def test_unbounded_direction_unlimited(self):
@@ -280,8 +277,7 @@ class TestCauchyDirectionExamples:
         out = generalized_cauchy_direction(
             geom, p, ProductTangent([1.0, 1.0]), ProductTangent([-1.0, -1.0]), LbfgsMemory(), np.inf
         )
-        assert out.status is GcdStatus.FOUND_UNLIMITED
-        assert out.t_max == np.inf
+        assert out.status is GcdStatus.FOUND
         assert_allclose(out.direction.euclidean, [-1.0, -1.0])
 
     def test_manifold_cap_limits_step(self):
@@ -292,8 +288,20 @@ class TestCauchyDirectionExamples:
         g = ProductTangent(np.zeros(0), np.array([0.0, 1.0, 0.0]))
         d = -0.1 * g  # f' = -0.1 |g|^2, f'' = 0.01 |g|^2, minimizer at t = 10
         out = generalized_cauchy_direction(geom, p, g, d, LbfgsMemory(), math.pi)
-        assert out.status is GcdStatus.FOUND_UNLIMITED
+        assert out.status is GcdStatus.FOUND
         assert_allclose(np.linalg.norm(out.direction.manifold), math.pi * 0.1, rtol=1e-12)
+
+    def test_default_sentinel_measures_length(self):
+        # the unit-step minimizer has length |g| = 8; the default sentinel at
+        # max_stepsize / |d_M| = pi / 8 stops the path at length pi, and a
+        # short direction keeps its model minimizer
+        geom = Geometry(BoxBounds.empty(), Sphere(3))
+        p = ProductPoint(np.zeros(0), np.array([1.0, 0.0, 0.0]))
+        for scale, length in ((8.0, math.pi), (0.5, 0.5)):
+            g = ProductTangent(np.zeros(0), np.array([0.0, scale, 0.0]))
+            out = generalized_cauchy_direction(geom, p, g, -1.0 * g, LbfgsMemory())
+            assert out.status is GcdStatus.FOUND
+            assert np.linalg.norm(out.direction.manifold) == length
 
 
 class TestCauchyDirectionProperties:
@@ -340,7 +348,7 @@ class TestCauchyDirectionProperties:
             grad = ProductTangent(rng.standard_normal(n))
             d = -1.0 * grad
             out = generalized_cauchy_direction(geom, p, grad, d, mem, np.inf)
-            assert out.status is GcdStatus.FOUND_LIMITED
+            assert out.status is GcdStatus.FOUND
             h = dense_bfgs_matrix(mem, n)
             times = compute_breakpoints(geom.box, p.euclidean, d.euclidean).times
             t_ref, q_ref = path_first_local_minimizer(
@@ -358,9 +366,8 @@ class TestCauchyDirectionProperties:
         for _ in range(300):
             geom, p, grad, d, mem = random_box_instance(rng)
             out = generalized_cauchy_direction(geom, p, grad, d, mem, np.inf)
-            if out.status is not GcdStatus.FOUND_LIMITED:
+            if out.status is GcdStatus.NOT_FOUND:
                 continue
-            assert out.t_max == 1.0
             q = geom.retract(p, 1.0 * out.direction)
             assert geom.box.violation(q.euclidean) == 0.0
 
@@ -412,7 +419,7 @@ class TestManyCrossings:
             geom, p, grad, d, mem = _bench_shape_instance(rng)
             crossed.clear()
             out = generalized_cauchy_direction(geom, p, grad, d, mem)
-            assert out.status is GcdStatus.FOUND_LIMITED
+            assert out.status is GcdStatus.FOUND
             assert len(crossed) >= 100
 
             # Re-drive the incremental updates over the same crossings and
@@ -484,7 +491,8 @@ class TestCauchyCallCounts:
 
     def test_breakpoints_only_with_a_box(self, monkeypatch):
         # Without a box the walk is the sentinel alone: no breakpoint times
-        # are computed and the step is unbounded; with one, one set per search.
+        # are computed and the step stops at the radius, pi; with a box, one
+        # set per search.
         calls, outcomes = [0], []
 
         def counted(*args):
@@ -511,8 +519,9 @@ class TestCauchyCallCounts:
         solve(rayleigh, ProductPoint(np.zeros(0), sph.random_point(rng)))
         assert len(outcomes) > 10
         assert calls[0] == 0
-        assert all(out.status is GcdStatus.FOUND_UNLIMITED for out in outcomes)
-        assert all(out.t_max == np.inf for out in outcomes)
+        assert all(out.status is GcdStatus.FOUND for out in outcomes)
+        lengths = [np.linalg.norm(out.direction.manifold) for out in outcomes]
+        assert max(lengths) <= math.pi * (1.0 + 4.0 * np.finfo(float).eps)
 
         outcomes.clear()
         for prob in euclidean_suite():

@@ -1,4 +1,4 @@
-"""Armijo line search behavior within the generalized Cauchy step interval."""
+"""Armijo backtracking from the unit step of the generalized Cauchy direction."""
 
 import numpy as np
 import pytest
@@ -50,25 +50,23 @@ def test_steep_valley_contracts():
     assert f_new <= f0 + ARMIJO_C1 * alpha * slope
 
 
-def test_expansion_when_unlimited():
-    # minimizer far out: expansion should grow the step beyond 1
+def test_passing_unit_step_is_not_expanded():
+    # the minimizer lies far out at 10, but a passing unit step is returned at once
     cost = lambda p: 0.5 * float((p.euclidean[0] - 10.0) ** 2)
     p = ProductPoint([0.0])
     d = ProductTangent([1.0])
-    alpha, f_new, _, _ = armijo_capped(cost, GEOM, p, d, 50.0, -10.0, np.inf)
-    assert alpha > 1.0
-    assert f_new < 50.0
+    alpha, f_new, evals, p_new = armijo_capped(cost, GEOM, p, d, 50.0, -10.0, np.inf)
+    assert (alpha, f_new, evals) == (1.0, 40.5, 1)
+    assert p_new.euclidean[0] == 1.0
 
 
-def test_expansion_stops_at_cap():
-    # the minimizer at 10 lies past every cap: doubling stops at the cap
+def test_first_trial_is_capped_unit_step():
     cost = lambda p: 0.5 * float((p.euclidean[0] - 10.0) ** 2)
     p = ProductPoint([0.0])
     d = ProductTangent([1.0])
-    for cap, want in ((1.0, 1.0), (3.0, 2.0), (4.0, 4.0), (0.25, 0.25)):
+    for cap, want in ((1.0, 1.0), (3.0, 1.0), (np.inf, 1.0), (0.25, 0.25)):
         alpha, _, evals, _ = armijo_capped(cost, GEOM, p, d, 50.0, -10.0, cap)
-        assert alpha == want
-        assert evals == 1 + int(np.log2(want / min(1.0, cap)))
+        assert (alpha, evals) == (want, 1)
 
 
 def test_alpha_never_exceeds_t_max(rng):
@@ -85,7 +83,7 @@ def test_alpha_never_exceeds_t_max(rng):
         f0 = cost(p)
         slope = -(grad**2)
         alpha, f_new, _, _ = armijo_capped(cost, GEOM, p, d, f0, slope, t_max)
-        assert alpha <= t_max
+        assert alpha <= min(1.0, t_max)
         assert f_new <= f0 + 1e-4 * alpha * slope
         assert f_new < f0
 
@@ -103,9 +101,9 @@ def test_exhausted_budget_raises():
     p = ProductPoint([0.0])
     d = ProductTangent([1.0])
     evals = []
-    with pytest.raises(LineSearchError):
+    with pytest.raises(LineSearchError) as err:
         armijo_capped(lambda q: evals.append(1) or cost(q), GEOM, p, d, 1.0, -1.0, np.inf)
-    assert len(evals) == MAX_EVALS
+    assert len(evals) == err.value.evaluations == MAX_EVALS
 
 
 def test_nan_cost_keeps_contracting():
@@ -121,15 +119,14 @@ def test_nan_cost_keeps_contracting():
     assert f_new < 0.5
 
 
-def test_minus_inf_cost_ends_the_expansion():
-    # -inf passes the Armijo inequality; the search hands it back at once
-    # instead of doubling the step until the evaluation budget runs out
-    cost = lambda p: -np.inf if p.euclidean[0] > 2.0 else -float(p.euclidean[0])
+def test_minus_inf_cost_is_accepted_at_once():
+    # -inf passes the Armijo inequality, so the unit step is returned unchanged
+    cost = lambda p: -np.inf if p.euclidean[0] > 0.5 else -float(p.euclidean[0])
     p = ProductPoint([0.0])
     d = ProductTangent([1.0])
     alpha, f_new, evals, p_new = armijo_capped(cost, GEOM, p, d, 0.0, -1.0, np.inf)
-    assert (alpha, f_new, evals) == (4.0, -np.inf, 3)
-    assert p_new.euclidean[0] == 4.0
+    assert (alpha, f_new, evals) == (1.0, -np.inf, 1)
+    assert p_new.euclidean[0] == 1.0
 
 
 def test_returns_the_accepted_point():

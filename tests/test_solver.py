@@ -363,13 +363,13 @@ class TestNonFinite:
 
     def test_minus_inf_cost_stops_at_last_finite_iterate(self):
         prob = box_problem(
-            [-np.inf], [np.inf], lambda x: -np.inf if x[0] > 2.0 else -x[0], lambda x: [-1.0]
+            [-np.inf], [np.inf], lambda x: -np.inf if x[0] > 0.5 else -x[0], lambda x: [-1.0]
         )
         res = solve(prob, ProductPoint([0.0]))
         assert res.termination is Termination.NON_FINITE
         assert res.iterations == 0
         assert res.point.euclidean[0] == 0.0 and res.cost == 0.0
-        assert res.cost_evals == 4  # the start, then unit, doubled and -inf steps
+        assert res.cost_evals == 2  # the start, then the unit step into the -inf region
 
     def test_nan_gradient_on_box_times_stiefel(self):
         prob = box_stiefel_problem()
@@ -385,6 +385,76 @@ class TestNonFinite:
     def test_norm_of_nan_tangent_is_nan(self):
         geom = Geometry(BoxBounds.unbounded(2))
         assert np.isnan(geom.norm(ProductPoint(np.zeros(2)), ProductTangent([np.nan, 0.0])))
+
+
+class TestStepRadius:
+    @pytest.mark.parametrize("c", [0.0, 100.0])
+    def test_antipodal_first_trial(self, monkeypatch, c):
+        # Cost c x_1 + 8 x_2 on Sphere(3) from e_1: the gradient there is 8 e_2,
+        # so the model minimizer has length 8 and the sentinel at pi / 8 binds;
+        # the first trial has length exactly pi and lands on the antipode -e_1.
+        # With c = 0 its cost does not decrease and the search backtracks; with
+        # c = 100 it is accepted and the solve continues from the antipode.
+        sph = Sphere(3)
+        a = np.array([c, 8.0, 0.0])
+        prob = Problem(
+            geometry=Geometry(BoxBounds.empty(), sph),
+            cost=lambda p: float(a @ p.manifold),
+            gradient=lambda p: ProductTangent(np.zeros(0), sph.project_tangent(p.manifold, a)),
+        )
+        lengths, costs, points = [], [], []
+        retract = Sphere.retract
+
+        def spy(self, p, x):
+            lengths.append(float(np.linalg.norm(x)))
+            return retract(self, p, x)
+
+        monkeypatch.setattr(Sphere, "retract", spy)
+        res = solve(
+            prob,
+            ProductPoint(np.zeros(0), np.array([1.0, 0.0, 0.0])),
+            callback=lambda k, p, f, pg: costs.append(f) or points.append(p.manifold.copy()),
+        )
+        assert lengths[0] == np.pi
+        assert np.allclose(points[1], [-1.0, 0.0, 0.0]) == (c > 0)
+        assert all(later <= earlier for earlier, later in zip(costs, costs[1:]))
+        assert res.termination in (Termination.PG_TOLERANCE, Termination.COST_STAGNATION)
+        assert_allclose(res.cost, -np.linalg.norm(a), rtol=1e-10)
+
+    def test_rayleigh_evaluations_per_iteration(self):
+        # Backtracking from a unit step inside the radius mostly accepts the
+        # first trial: 253 cost evaluations in 220 iterations (1.15) over
+        # these solves, against 3.05 when the line search doubled the step.
+        iterations = cost_evals = 0
+        for seed in range(8):
+            res = solve(*random_rayleigh(30, seed))
+            assert res.termination in (Termination.PG_TOLERANCE, Termination.COST_STAGNATION)
+            iterations += res.iterations
+            cost_evals += res.cost_evals
+        assert cost_evals / iterations <= 1.25
+
+
+class TestLineSearchEvaluations:
+    def test_report_counts_every_trial(self):
+        # The start's evaluation plus every step's ls_evals is every cost
+        # evaluation.  The last problem's cost rises along every step, so each
+        # search fails after MAX_EVALS trials, before and after the reset.
+        bss = bss_problem(synth_bss(k=3, r=3, n=10, amplitude=1.0, seed=0, lam=0.1))
+        liar = box_problem([-1.0], [1.0], lambda x: 1.0 + (x[0] != 0.0), lambda x: [1.0])
+        cases = [(bss, bss.initial_point), random_rayleigh(30, 0), (liar, ProductPoint([0.0]))]
+        opts = SolverOptions()
+        for prob, p0 in cases:
+            calls = []
+            counted = dataclasses.replace(
+                prob, cost=lambda p, f=prob.cost: calls.append(1) or f(p)
+            )
+            state = init_state(counted, p0, opts)
+            reports = []
+            while len(reports) < 200 and (not reports or reports[-1].stop is None):
+                reports.append(step(state, counted, opts))
+            assert 1 + sum(r.ls_evals for r in reports) == len(calls)
+        assert reports[-1].stop is Termination.LINE_SEARCH_FAILURE
+        assert reports[-1].ls_evals == 2 * rb.linesearch.MAX_EVALS
 
 
 class TestOneRetractionPerEvaluation:

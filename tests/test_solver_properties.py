@@ -6,10 +6,12 @@ manifold.  The cost is a convex quadratic in the box coordinates plus a
 Rayleigh quotient (sphere) or a Brockett cost (Stiefel) on the manifold
 part.  The callback checks every iterate: the box violation is exactly 0,
 the manifold membership residual is at most 1e-8, and the cost never
-increases.
+increases.  A spy on the retraction checks that no line-search trial moves
+the manifold part farther than its maximum step length.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,10 @@ import rlbfgsb as rb
 from rlbfgsb import BoxBounds, Geometry, Problem, ProductTangent, SolverOptions, solve
 
 MEMBERSHIP_TOL = 1e-8
+# The Cauchy sentinel stops the path at time max_stepsize / |d_M|, and the
+# direction is that time times d, so its manifold length can round a few ulps
+# above max_stepsize.
+RADIUS_SLACK = 4.0 * np.finfo(float).eps
 
 
 @st.composite
@@ -86,3 +92,22 @@ def test_iterates_feasible_and_cost_monotone(case):
 
     result = solve(problem, p0, SolverOptions(max_iterations=60), callback=check)
     assert len(costs) == result.iterations + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(problems())
+def test_no_trial_longer_than_the_radius(case):
+    problem, p0 = case
+    radius = problem.geometry.max_stepsize(p0)
+    lengths = []
+    retract = Geometry.retract
+
+    def spy(geom, p, x):
+        if x.manifold is not None:
+            lengths.append(float(np.linalg.norm(x.manifold)))
+        return retract(geom, p, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Geometry, "retract", spy)
+        solve(problem, p0, SolverOptions(max_iterations=60))
+    assert max(lengths, default=0.0) <= radius * (1.0 + RADIUS_SLACK)
