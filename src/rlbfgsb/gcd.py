@@ -11,13 +11,15 @@ is piecewise quadratic in ``t``; its first local minimizer ``t_*`` is found
 as in Algorithm CP of Byrd, Lu, Nocedal and Zhu (1995), by walking the
 breakpoints in time order and updating the segment slope ``f'`` and curvature
 ``f''`` incrementally.  With the memory's ``H = theta I - X^T M X`` over its
-stored rows ``X``, ``X d`` is formed once per search, and a crossing of
-coordinate ``b`` takes the column ``w_b = X[:, b]`` and one product ``M w_b``;
-its three Hessian values are dot products with them.  :class:`SegmentState`
-carries the coefficient vectors of the path point and of the moving
-direction.  The walk partitions off the next few smallest breakpoint times
-and sorts only those, doubling the chunk when it runs out, so its cost
-follows the breakpoints crossed rather than the box dimension.
+stored rows ``X``, the initial ``f'' = <d, H[d]>`` takes ``X d`` and one
+product with ``M``, unless the caller passes ``H[d]`` (``q`` for ``d = B q``
+with ``B = H^{-1}``); then ``X d`` waits for the first crossing.  A crossing
+of coordinate ``b`` takes the column ``w_b = X[:, b]`` and one product
+``M w_b``; its three Hessian values are dot products with them.
+:class:`SegmentState` carries the coefficient vectors of the path point and
+of the moving direction.  The walk partitions off the next few smallest
+breakpoint times and sorts only those, doubling the chunk when it runs out,
+so its cost follows the breakpoints crossed rather than the box dimension.
 
 The search is capped by a sentinel breakpoint at the time
 ``max_stepsize / |d_M|`` at which the manifold part of the path reaches the
@@ -178,7 +180,7 @@ def segment_values(
 
 def generalized_cauchy_direction(
     geom: Geometry, p: ProductPoint, grad: ProductTangent, d: ProductTangent,
-    mem: LbfgsMemory, t_manifold_max: float | None = None,
+    mem: LbfgsMemory, t_manifold_max: float | None = None, hd: ProductTangent | None = None,
 ) -> GcdOutcome:
     """First local minimizer of the model along the projected path of ``d``.
 
@@ -189,7 +191,8 @@ def generalized_cauchy_direction(
     caller is then expected to discard its curvature memory and retry along
     the projected steepest descent direction.  ``t_manifold_max`` places the
     sentinel, in multiples of ``d``; by default the manifold part of the
-    path stops at length ``geom.max_stepsize(p)``.
+    path stops at length ``geom.max_stepsize(p)``.  ``hd`` is ``H[d]``, if
+    known: the initial curvature is then ``<d, hd>``, not read from ``M``.
     """
     if t_manifold_max is None:
         length = 0.0 if d.manifold is None else float(np.linalg.norm(d.manifold))
@@ -199,9 +202,12 @@ def generalized_cauchy_direction(
     bps = compute_breakpoints(bounds, x, d_eu, t_manifold_max) if bounds.n else None
     walk = [(float(t_manifold_max), -1)] if bps is None else bps.walk()  # the sentinel alone
 
-    qs = surrogate_init(mem, geom, p, d)
     f1 = geom.inner(p, grad, d)
-    f2 = mem.theta * float(d.data @ d.data) - mem.bilinear(qs.p, qs.p)  # <d, H[d]>
+    if hd is None:
+        qs = surrogate_init(mem, geom, p, d)
+        f2 = mem.theta * float(d.data @ d.data) - mem.bilinear(qs.p, qs.p)  # <d, H[d]>
+    else:
+        qs, f2 = None, float(d.data @ hd.data)
     if f1 == 0.0 or f2 == 0.0:
         return GcdOutcome(geom.zero_tangent(p), GcdStatus.NOT_FOUND)
     dt_min = -f1 / f2
@@ -218,6 +224,8 @@ def generalized_cauchy_direction(
             # Manifold step-size sentinel: never search past it.
             dt_min = dt
             break
+        if qs is None:
+            qs = surrogate_init(mem, geom, p, d)
         d_b = float(d_eu[b])
         g_b = float(g_eu[b])
         v1, v2 = segment_values(qs, mem, t, dt, b, d_b)

@@ -18,7 +18,8 @@ folded into its s rows and columns; :meth:`~LbfgsMemory.middle_matrix` maps
 it back to that block order.  It is assembled from the inverse of the Schur
 complement ``theta S S^T + L D^{-1} L^T``, which is symmetric positive
 definite whenever the pairs pass the curvature test; its extreme eigenvalues
-decide whether ``M`` is usable.  So the coefficients of a flat tangent ``v``
+decide whether ``M`` is usable.  Updates only mark ``M`` stale; its first
+read after them rebuilds it.  So the coefficients of a flat tangent ``v``
 are ``X v`` (:meth:`~LbfgsMemory.coefficients`), those of the basis vector
 ``e_b`` are column ``b`` of ``X`` (:meth:`~LbfgsMemory.basis_coefficients`),
 :meth:`~LbfgsMemory.bilinear` evaluates ``a^T M b``, and an empty memory
@@ -46,8 +47,7 @@ transport: the identity on the box, one batched call for the manifold
 columns.  Pairs that the transport leaves failing the curvature test
 (``<s, y> > 0`` and ``<s, y> >= eps ||y||^2``) are discarded, which keeps the
 operator positive definite; :func:`make_pair` forms the new pair from the
-carried slot.  Transport leaves ``M`` stale; the following
-:meth:`LbfgsMemory.push` rebuilds it once, and any read before that does.
+carried slot.
 """
 
 from __future__ import annotations
@@ -126,8 +126,7 @@ class LbfgsMemory:
         self._gram_box, self._gram = self._grams
         self._strict_lower = np.tri(self.capacity, k=-1, dtype=bool)
         self._upper = ~self._strict_lower
-        self._middle = np.zeros((0, 0))
-        self._stale = False  # pairs or theta changed since _middle was built
+        self._stale = True  # pairs or theta changed since _middle was built
 
     @property
     def size(self) -> int:
@@ -176,8 +175,7 @@ class LbfgsMemory:
         self._start = 0
         self._size = 0
         self.theta = 1.0
-        self._middle = np.zeros((0, 0))
-        self._stale = False
+        self._stale = True
 
     # ------------------------------------------------------------------
     # Updates
@@ -206,9 +204,7 @@ class LbfgsMemory:
         row and column are formed there, so its curvature is read off the
         Gram matrix.  On acceptance the oldest pair is evicted if the memory
         is full, the scaling becomes ``<y, y> / <s, y>`` of the new pair, and
-        the middle matrix is rebuilt.  A rejection rebuilds it only when a
-        preceding :meth:`transport` left it stale.  Either rebuild raises
-        :class:`SingularMiddleMatrix` when the pairs are numerically singular.
+        the middle matrix is marked stale; the next read rebuilds it.
         """
         self._fit(geom, s.data.size)
         m, slot = 2 * self._size, self._start + self._size
@@ -223,14 +219,12 @@ class LbfgsMemory:
         self._grams[:, m : m + 2, : m + 2] = col.transpose(0, 2, 1)
         sy, yy = col[1, m, 1], col[1, m + 1, 1]
         if not self._passes_curvature(sy, yy):
-            if self._stale:
-                self._refresh_middle()
             return False
         self._size += 1
         if self._size > self.capacity:
             self._evict()
         self.theta = float(yy / sy)
-        self._refresh_middle()
+        self._stale = True
         return True
 
     def _evict(self) -> None:
@@ -259,9 +253,8 @@ class LbfgsMemory:
         retracted again.  The manifold part of the Gram matrix is recomputed,
         and pairs whose curvature the transport destroys are discarded;
         returns how many were dropped.  The scaling is reset from the newest
-        survivor, and the middle matrix is left stale for :meth:`push` (or a
-        read) to rebuild, so pairs that are numerically singular only until
-        ``push`` evicts or adds one raise no :class:`SingularMiddleMatrix`.
+        survivor, and the middle matrix is marked stale; the next read
+        rebuilds it.
         """
         self._fit(geom, step.data.size)
         n, lo = self._size, self._start
@@ -287,21 +280,22 @@ class LbfgsMemory:
     # ------------------------------------------------------------------
     # Compact representation
 
-    def _refresh_middle(self) -> None:
-        """Rebuild the middle matrix from the cached Gram matrix and ``theta``.
+    def _current_middle(self) -> np.ndarray:
+        """The middle matrix; the one place that builds it, from the Gram matrix and ``theta``.
 
-        The Schur complement counts as singular when it is not finite, not
-        positive definite, or its condition number exceeds ``_COND_LIMIT``.
-        It is symmetric, so that number is the ratio of its extreme
-        eigenvalues, taken from one symmetric eigenvalue solve rather than
-        a singular value decomposition.  A cheaper Cholesky pivot ratio is
-        only a lower bound and can miss the cutoff by orders of magnitude.
+        The build raises :class:`SingularMiddleMatrix` when the Schur
+        complement is not finite, not positive definite, or its condition
+        number, the ratio of its extreme eigenvalues from one symmetric
+        eigenvalue solve, exceeds ``_COND_LIMIT``.  A cheaper Cholesky pivot
+        ratio is only a lower bound and can miss the cutoff by orders of
+        magnitude.
         """
+        if not self._stale:
+            return self._middle
         mu = self._size
         if mu == 0:
-            self._middle = np.zeros((0, 0))
-            self._stale = False
-            return
+            self._middle, self._stale = np.zeros((0, 0)), False
+            return self._middle
         gram = self._gram[: 2 * mu, : 2 * mu]
         d = self.sy
         q = self.theta * gram[0::2, 0::2]
@@ -326,10 +320,6 @@ class LbfgsMemory:
         middle[0::2, 0::2] = theta * theta * schur_inv
         self._middle = (middle + middle.T) / 2.0
         self._stale = False
-
-    def _current_middle(self) -> np.ndarray:
-        if self._stale:
-            self._refresh_middle()
         return self._middle
 
     def middle_matrix(self) -> np.ndarray:

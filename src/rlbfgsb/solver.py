@@ -10,10 +10,10 @@ update pair is admitted.
 The state keeps the projected steepest-descent direction of its iterate,
 the tangent-cone projection of the negative gradient: the quasi-Newton
 direction starts from it, its norm is the stationarity measure, and it is
-the fallback direction.  A missing Cauchy direction or a failed line search
-discards the curvature memory and retries the iteration once along that
-fallback before giving up; a singular middle matrix discards the memory
-after the step.
+the fallback direction.  A missing Cauchy direction, a singular middle matrix
+met by the Cauchy search (the only reader of that matrix) or a failed line
+search discards the curvature memory and retries the iteration once along
+that fallback before giving up.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ class StepReport:
 
     ``pairs_dropped`` counts the stored pairs whose curvature the transport
     destroyed; ``pair_rejected`` says the curvature test refused the new
-    pair.  A pair lost to a singular middle matrix counts under
-    ``memory_resets`` instead.  ``ls_evals`` counts the line-search cost
+    pair.  ``memory_resets`` counts the resets before the retry, a singular
+    middle matrix among their causes.  ``ls_evals`` counts the line-search cost
     evaluations, those of a search that failed before a reset included.
     ``stop`` is the termination the step calls for, if any.
     """
@@ -137,16 +137,21 @@ def _cauchy_direction(state: SolverState, geom: Geometry, reset: bool):
     instead, the operator couples the large gradient components of the
     active bounds into the free coordinates and routinely emits ascent
     directions near bound-active optima.  With ``reset`` (the memory has
-    just been reset) the projected negative gradient is used directly.
+    just been reset) the projected negative gradient ``q`` is used directly.
+    The search is handed ``H[d] = q`` where that holds: after a reset, and
+    when no coordinate is masked and the cone projection keeps ``d = B q``.
     """
     p, d = state.point, state.steepest
+    hd = d  # H = I while the memory is empty
     if not reset:
         # The projection zeroes exactly the active components, which are
         # nonzero in the finite -g, and leaves every free one as it was.
         free = d.euclidean == -state.grad.euclidean
-        d = state.memory.apply_inverse(geom, p, d, free_mask=free)
-        d = geom.project_tangent_cone(p, d)
-    return generalized_cauchy_direction(geom, p, state.grad, d, state.memory)
+        face = None if free.all() else free
+        bq = state.memory.apply_inverse(geom, p, d, free_mask=face)
+        d = geom.project_tangent_cone(p, bq)
+        hd = hd if face is None and (d.euclidean == bq.euclidean).all() else None
+    return generalized_cauchy_direction(geom, p, state.grad, d, state.memory, hd=hd)
 
 
 def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepReport:
@@ -164,8 +169,11 @@ def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepRe
 
     reset = False
     while True:
-        outcome = _cauchy_direction(state, geom, reset)
-        if outcome.status is GcdStatus.NOT_FOUND:
+        try:
+            outcome = _cauchy_direction(state, geom, reset)
+        except SingularMiddleMatrix:  # never with the empty memory of a reset
+            outcome = None
+        if outcome is None or outcome.status is GcdStatus.NOT_FOUND:
             failure = Termination.PG_TOLERANCE
         else:
             slope = geom.inner(state.point, state.grad, outcome.direction)
@@ -191,15 +199,9 @@ def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepRe
         return report
 
     step_vec = alpha * outcome.direction
-    try:
-        report.pairs_dropped = state.memory.transport(
-            geom, state.point, step_vec, state.grad, p_new
-        )
-        s, y = make_pair(geom, state.memory, grad_new)
-        report.pair_rejected = not state.memory.push(geom, p_new, s, y)
-    except SingularMiddleMatrix:
-        state.memory.reset()
-        report.memory_resets += 1
+    report.pairs_dropped = state.memory.transport(geom, state.point, step_vec, state.grad, p_new)
+    s, y = make_pair(geom, state.memory, grad_new)
+    report.pair_rejected = not state.memory.push(geom, p_new, s, y)
 
     state.point = p_new
     state.grad = grad_new

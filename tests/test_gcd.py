@@ -446,7 +446,7 @@ class TestManyCrossings:
 
 
 class TestCauchyCallCounts:
-    """Algorithm CP's cost: ``W d`` once per search, one ``M w_b`` per crossing."""
+    """Algorithm CP's cost: ``W d`` at most once per search, one ``M w_b`` per crossing."""
 
     COUNTED = (
         "coefficients", "bilinear", "apply_middle", "basis_coefficients", "pairing", "basis_diag"
@@ -463,10 +463,11 @@ class TestCauchyCallCounts:
 
             return wrapper
 
-        def search(*args):
+        def search(*args, **kwargs):
             before = dict(counts)
-            out = generalized_cauchy_direction(*args)
+            out = generalized_cauchy_direction(*args, **kwargs)
             per_call.append({k: counts[k] - before[k] for k in counts})
+            per_call[-1]["hd"] = kwargs.get("hd") is not None
             return out
 
         for name in self.COUNTED:
@@ -480,12 +481,16 @@ class TestCauchyCallCounts:
             solve(prob, prob.initial_point)
         assert len(per_call) > 100
         assert sum(c["crossings"] for c in per_call) >= 30
+        # both kinds of search occur, and some that are handed H[d] cross a bound
+        assert 0 < sum(c["hd"] for c in per_call) < len(per_call)
+        assert any(c["hd"] and c["crossings"] for c in per_call)
         for c in per_call:
-            assert c["coefficients"] == 1
-            assert c["bilinear"] == 1
+            # without H[d], <d, H[d]> takes X d and bilinear's product up front;
+            # with it, X d waits for the first crossing and bilinear never runs
+            assert c["coefficients"] == (1 if not c["hd"] or c["crossings"] else 0)
+            assert c["bilinear"] == (0 if c["hd"] else 1)
             assert c["basis_coefficients"] == c["crossings"]
-            # bilinear's product for <d, H[d]>, then one per crossing
-            assert c["apply_middle"] == c["crossings"] + 1
+            assert c["apply_middle"] == c["crossings"] + c["bilinear"]
         assert counts["pairing"] == 0
         assert counts["basis_diag"] == 0
 
@@ -499,8 +504,8 @@ class TestCauchyCallCounts:
             calls[0] += 1
             return compute_breakpoints(*args)
 
-        def search(*args):
-            outcomes.append(generalized_cauchy_direction(*args))
+        def search(*args, **kwargs):
+            outcomes.append(generalized_cauchy_direction(*args, **kwargs))
             return outcomes[-1]
 
         monkeypatch.setattr(gcd_mod, "compute_breakpoints", counted)

@@ -221,13 +221,20 @@ class TestMiddleMatrix:
 
     def test_singular_raises(self):
         # orthogonal pairs with a 10^16 scale gap push the Schur complement
-        # past the conditioning cutoff
+        # past the conditioning cutoff; push only marks M stale, and the
+        # first read builds it and raises, as does every read after it
         geom = flat_geom(2)
         p = ProductPoint(np.zeros(2))
-        mem = LbfgsMemory(capacity=3)
-        mem.push(geom, p, ProductTangent([1e-8, 0.0]), ProductTangent([1e-8, 0.0]))
-        with pytest.raises(rb.SingularMiddleMatrix):
-            mem.push(geom, p, ProductTangent([0.0, 1e8]), ProductTangent([0.0, 1e8]))
+        w = np.ones(4)
+        for read in (LbfgsMemory.middle_matrix, lambda mem: mem.bilinear(w, w)):
+            mem = LbfgsMemory(capacity=3)
+            mem.push(geom, p, ProductTangent([1e-8, 0.0]), ProductTangent([1e-8, 0.0]))
+            assert mem.push(geom, p, ProductTangent([0.0, 1e8]), ProductTangent([0.0, 1e8]))
+            for _ in range(2):
+                with pytest.raises(rb.SingularMiddleMatrix):
+                    read(mem)
+            mem.reset()
+            assert mem.middle_matrix().shape == (0, 0)
 
 
 class TestRowLayout:

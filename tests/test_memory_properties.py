@@ -10,11 +10,13 @@ inverse of the block matrix.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import rlbfgsb as rb
 from rlbfgsb import BoxBounds, Geometry, LbfgsMemory, ProductTangent, make_pair
+from rlbfgsb.gcd import generalized_cauchy_direction
+from rlbfgsb.solver import SolverState, _cauchy_direction
 
 SETTINGS = settings(max_examples=150)
 
@@ -429,17 +431,26 @@ def test_gram_cache_survives_operation_sequences(kind, capacity, ops, seed):
         assert_masked_inverse_matches(geom, p, mem, rng, rng.random(geom.box.n) < 0.6)
 
 
-def spd_pairs(geom, p, rng, count):
-    """Pairs ``(s, A s)`` for one random symmetric positive definite ``A``."""
+def spd_map(geom, p, rng):
+    """``s -> (s, A s)`` for one random symmetric positive definite ``A``."""
     width = geom.zero_tangent(p).data.size
     g = rng.standard_normal((width, width))
     a = g @ g.T / width + np.eye(width)
-    for _ in range(count):
-        s = geom.random_tangent(p, rng)
+
+    def pair(s):
         y = geom.unpack(a @ s.data)
         if geom.manifold is not None:
             y.manifold[...] = geom.manifold.project_tangent(p.manifold, y.manifold)
-        yield s, y
+        return s, y
+
+    return pair
+
+
+def spd_pairs(geom, p, rng, count):
+    """Pairs ``(s, A s)`` for one random symmetric positive definite ``A``."""
+    pair = spd_map(geom, p, rng)
+    for _ in range(count):
+        yield pair(geom.random_tangent(p, rng))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -463,3 +474,113 @@ def test_masked_inverse_at_bench_shapes(shape, seed):
     mem.push(geom, q, s, y)
     assert mem.size == 10
     assert_masked_inverse_matches(geom, q, mem, rng, rng.random(geom.box.n) >= 0.07)
+
+
+# ----------------------------------------------------------------------
+# The middle matrix is built only where the Cauchy search reads it.  Where
+# the solver hands the search H[d] instead, the curvature skips the middle
+# matrix and its conditioning test; these properties stand in for both.
+
+
+@SETTINGS
+@given(cases(), st.floats(0.5, 3.0))
+def test_curvature_handed_to_the_cauchy_search_matches_the_middle_matrix(case, scale):
+    # After a transport that may drop pairs, some box coordinates are put on
+    # a bound, so that the face is sometimes masked and the cone projection
+    # sometimes changes B q.  Wherever the solver hands the Cauchy search
+    # H[d], <d, H[d]> from it is the middle matrix's value.
+    geom, p, mem, rng, mask = case
+    step = scale * geom.random_tangent(p, rng)
+    q = geom.retract(p, step)
+    event(f"transport dropped {mem.transport(geom, p, step, geom.random_tangent(p, rng), q)}")
+    lower, upper = geom.box.lower, geom.box.upper
+    q.euclidean = np.where(~mask & np.isfinite(lower), lower, q.euclidean)
+    q.euclidean = np.where(~mask & ~np.isfinite(lower) & np.isfinite(upper), upper, q.euclidean)
+    grad = geom.random_tangent(q, rng)
+    state = SolverState(q, grad, geom.project_tangent_cone(q, -grad), 0.0, mem)
+    seen = []
+
+    def search(geom, p, grad, d, mem, *rest, hd=None):
+        seen.append((d, hd))
+        return generalized_cauchy_direction(geom, p, grad, d, mem, *rest, hd=hd)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rb.solver, "generalized_cauchy_direction", search)
+        for reset in (False, True):
+            if reset:
+                mem.reset()
+            try:
+                _cauchy_direction(state, geom, reset)
+            except rb.SingularMiddleMatrix:
+                continue
+            d, hd = seen[-1]
+            event(f"reset={reset} handed H[d]={hd is not None}")
+            if hd is not None:
+                # relative to the larger of the two terms the M-based value
+                # subtracts: on a near-singular memory it cancels
+                # catastrophically, and <d, H[d]> from H[d] is the accurate one
+                want = mem.pairing(geom, q, d, d)
+                size = mem.theta * float(d.data @ d.data) + abs(want)
+                assert abs(float(d.data @ hd.data) - want) <= 1e-9 * size
+
+
+@st.composite
+def ill_conditioned_memories(draw):
+    """(geometry, point, memory, rng) whose pairs are numerically singular.
+
+    Pairs ``(s, A s)`` for one SPD ``A`` pass the curvature test; their
+    step lengths span at least 16 orders of magnitude.
+    """
+    kind = draw(st.sampled_from(["box", "box-sphere", "sphere"]))
+    n = 0 if kind == "sphere" else draw(st.integers(2, 6))
+    manifold = None if kind == "box" else rb.Sphere(draw(st.integers(3, 6)))
+    geom = Geometry(BoxBounds(-np.ones(n), np.ones(n)), manifold)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = geom.random_point(rng)
+    count = draw(st.integers(2, 4))
+    pair = spd_map(geom, p, rng)
+    mem = LbfgsMemory(count)
+    for e in rng.permutation(np.linspace(-1.0, 1.0, count)) * draw(st.floats(8.0, 12.0)):
+        assert mem.push(geom, p, *pair(10.0**e * geom.random_tangent(p, rng)))
+    return geom, p, mem, rng
+
+
+@SETTINGS
+@given(ill_conditioned_memories(), st.data())
+def test_inverse_descends_past_the_conditioning_cutoff(case, data):
+    # The middle matrix of these pairs fails its conditioning test, but a
+    # solve that never reads it (no box, or a free face) never runs that
+    # test: the inverse operator alone must still give descent, free and
+    # masked.
+    geom, p, mem, rng = case
+    with pytest.raises(rb.SingularMiddleMatrix):
+        mem.middle_matrix()
+    g = geom.random_tangent(p, rng)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=geom.box.n, max_size=geom.box.n)),
+                    dtype=bool)
+    for free_mask in (None, mask):
+        steepest = -1.0 * g
+        if free_mask is not None:
+            steepest.euclidean[~free_mask] = 0.0
+        if not np.any(steepest.data):
+            continue
+        d = mem.apply_inverse(geom, p, steepest, free_mask=free_mask)
+        assert geom.inner(p, g, d) < 0.0
+
+
+@SETTINGS
+@given(cases(kinds=("sphere", "stiefel")), st.floats(0.5, 3.0))
+def test_middle_matrix_after_transport_is_positive_definite_on_the_span(case, scale):
+    # <v, H[v]> > 0 for every v in the span of the transported pairs, read
+    # through the middle matrix built after the transport (off the span,
+    # H = theta I).
+    geom, p, mem, rng, _ = case
+    step = scale * geom.random_tangent(p, rng)
+    q = geom.retract(p, step)
+    event(f"transport dropped {mem.transport(geom, p, step, geom.random_tangent(p, rng), q)}")
+    assume(mem.size > 0)
+    rows = np.array([v.data for pr in mem.pairs for v in (pr.s, pr.y)])
+    u, sv, _ = np.linalg.svd(rows.T, full_matrices=False)
+    basis = [geom.unpack(c) for c in u[:, sv > 1e-10 * sv[0]].T]
+    h = np.array([[mem.pairing(geom, q, a, b) for b in basis] for a in basis])
+    assert np.linalg.eigvalsh(h)[0] > 0.0

@@ -283,17 +283,35 @@ def spy(monkeypatch, owner, name, log):
     monkeypatch.setattr(owner, name, wrapper)
 
 
+def spy_middle_builds(monkeypatch, log, fail_at=None):
+    """Log each build of a nonempty middle matrix; the ``fail_at``-th one raises."""
+    current = LbfgsMemory._current_middle
+
+    def wrapper(mem):
+        if mem._stale and mem.size:
+            log.append(mem.size)
+            if len(log) == fail_at:
+                raise rb.SingularMiddleMatrix("forced")
+        return current(mem)
+
+    monkeypatch.setattr(LbfgsMemory, "_current_middle", wrapper)
+
+
 class TestMemoryBookkeeping:
-    def test_one_middle_refresh_per_push(self, monkeypatch):
+    def test_middle_built_only_where_read(self, monkeypatch):
+        # BSS always has an active face, so its Cauchy search reads M once
+        # per iteration; the box-free Rayleigh solve hands the search H[d]
+        # and never builds M.
         bss = bss_problem(synth_bss(k=3, r=3, n=50, amplitude=1.0, seed=0, lam=0.1))
-        for prob, p0 in ((bss, bss.initial_point), random_rayleigh(30, 0)):
-            refreshes, pushes = [], []
+        for prob, p0, most in ((bss, bss.initial_point, 1), (*random_rayleigh(30, 0), 0)):
+            builds, reports = [], []
             with monkeypatch.context() as m:
-                spy(m, LbfgsMemory, "_refresh_middle", refreshes)
-                spy(m, LbfgsMemory, "push", pushes)
+                spy_middle_builds(m, builds)
+                spy(m, rb.solver, "step", reports)
                 res = solve(prob, p0)
             assert res.iterations >= 20
-            assert len(refreshes) == len(pushes) == res.iterations
+            assert len(builds) <= most * len(reports)
+            assert len(builds) >= most * (res.iterations - 1)
 
     def test_step_report_counts_match_memory(self, monkeypatch):
         reports, pushes, transports = [], [], []
@@ -468,21 +486,16 @@ class TestOneRetractionPerEvaluation:
         assert res.iterations >= 20
         assert len(retractions) == res.cost_evals - 1
 
-        # a box x Stiefel solve whose third middle-matrix refresh fails
-        refresh, refreshes = LbfgsMemory._refresh_middle, []
-
-        def failing_refresh(mem):
-            refreshes.append(1)
-            if len(refreshes) == 3:
-                raise rb.SingularMiddleMatrix("forced")
-            refresh(mem)
-
-        monkeypatch.setattr(LbfgsMemory, "_refresh_middle", failing_refresh)
+        # a box x Stiefel solve whose third middle-matrix build fails: the
+        # Cauchy search that reads it resets the memory and retries
+        builds = []
+        spy_middle_builds(monkeypatch, builds, fail_at=3)
         prob = box_stiefel_problem()
         retractions.clear()
         reports.clear()
         res = solve(prob, prob.initial_point)
-        assert sum(r.memory_resets for r in reports) >= 1
+        assert len(builds) > 3
+        assert sum(r.memory_resets for r in reports) == 1  # none without the forced failure
         assert res.iterations >= 5
         assert len(retractions) == res.cost_evals - 1
 
@@ -492,17 +505,18 @@ class TestResetPaths:
 
     CASES = {
         # name: (Cauchy calls that find nothing, line-search calls that fail,
-        #        expected stop)
-        "not-found-then-found": ({1}, set(), None),
-        "not-found-twice": ({1, 2}, set(), Termination.PG_TOLERANCE),
-        "line-search-fails-once": (set(), {1}, None),
-        "line-search-fails-twice": (set(), {1, 2}, Termination.LINE_SEARCH_FAILURE),
-        "line-search-fails-then-not-found": ({2}, {1}, Termination.PG_TOLERANCE),
+        #        expected stop, Cauchy calls that meet a singular middle matrix)
+        "not-found-then-found": ({1}, set(), None, set()),
+        "not-found-twice": ({1, 2}, set(), Termination.PG_TOLERANCE, set()),
+        "line-search-fails-once": (set(), {1}, None, set()),
+        "line-search-fails-twice": (set(), {1, 2}, Termination.LINE_SEARCH_FAILURE, set()),
+        "line-search-fails-then-not-found": ({2}, {1}, Termination.PG_TOLERANCE, set()),
+        "singular-middle-then-found": (set(), set(), None, {1}),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_one_reset_then_retry_along_steepest_descent(self, monkeypatch, case):
-        gcd_fails, ls_fails, stop = self.CASES[case]
+        gcd_fails, ls_fails, stop, singular = self.CASES[case]
         prob = rosenbrock()
         geom = prob.geometry
         state = init_state(prob, ProductPoint([-1.2, 1.0]), SolverOptions())
@@ -515,17 +529,19 @@ class TestResetPaths:
         real_gcd, real_ls = rb.solver.generalized_cauchy_direction, rb.solver.armijo_capped
         gcd_calls, ls_calls = [], []
 
-        def gcd(geom, p, grad, d, mem, *rest):
+        def gcd(geom, p, grad, d, mem, *rest, **kwargs):
             gcd_calls.append((d.copy(), mem.size))
             if len(gcd_calls) in gcd_fails:  # a zero direction has no Cauchy point
                 d = geom.zero_tangent(p)
-            return real_gcd(geom, p, grad, d, mem, *rest)
+            if len(gcd_calls) in singular:
+                raise rb.SingularMiddleMatrix("forced")
+            return real_gcd(geom, p, grad, d, mem, *rest, **kwargs)
 
-        def armijo(*args):
+        def armijo(*args, **kwargs):
             ls_calls.append(1)
             if len(ls_calls) in ls_fails:
                 raise rb.LineSearchError("forced")
-            return real_ls(*args)
+            return real_ls(*args, **kwargs)
 
         monkeypatch.setattr(rb.solver, "generalized_cauchy_direction", gcd)
         monkeypatch.setattr(rb.solver, "armijo_capped", armijo)
