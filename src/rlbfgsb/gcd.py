@@ -12,8 +12,9 @@ as in Algorithm CP of Byrd, Lu, Nocedal and Zhu (1995), by walking the
 breakpoints in time order and updating the segment slope ``f'`` and curvature
 ``f''`` incrementally.  With the memory's ``H = theta I - X^T M X`` over its
 stored rows ``X``, the initial ``f'' = <d, H[d]>`` takes ``X d`` and one
-product with ``M``, unless the caller passes ``H[d]`` (``q`` for ``d = B q``
-with ``B = H^{-1}``); then ``X d`` waits for the first crossing.  A crossing
+product with ``M``, unless the caller passes ``H[d]``: ``q`` for ``d = B q``,
+with ``B`` the inverse of ``H`` on a face that holds ``d``, free or masked;
+then ``X d`` waits for the first crossing.  A crossing
 of coordinate ``b`` takes the column ``w_b = X[:, b]`` and one product
 ``M w_b``; its three Hessian values are dot products with them.
 :class:`SegmentState` carries the coefficient vectors of the path point and
@@ -192,7 +193,8 @@ def generalized_cauchy_direction(
     the projected steepest descent direction.  ``t_manifold_max`` places the
     sentinel, in multiples of ``d``; by default the manifold part of the
     path stops at length ``geom.max_stepsize(p)``.  ``hd`` is ``H[d]``, if
-    known: the initial curvature is then ``<d, hd>``, not read from ``M``.
+    known, or any vector equal to it where ``d`` is nonzero: the initial
+    curvature is then ``<d, hd>``, not read from ``M``.
     """
     if t_manifold_max is None:
         length = 0.0 if d.manifold is None else float(np.linalg.norm(d.manifold))

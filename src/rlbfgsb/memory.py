@@ -27,9 +27,9 @@ maps everything to the empty vector.
 
 ``B`` has ``gamma = 1 / theta`` and a kernel ``K`` built from
 ``R = triu(S Y^T)``, ``D`` and ``Y Y^T``; it is the exact inverse of the
-Hessian form, which the test-suite checks against dense oracles.  On a free
-face (no box coordinate masked out) ``K`` is built from the cached Gram
-matrix as it is: every stored pair passed the curvature test on it.
+Hessian form, which the test-suite checks against dense oracles.  On a face
+with box coordinates masked out it is the exact inverse of ``H`` restricted
+to the face, one solve of a ``2 mu x 2 mu`` system: one model on every face.
 
 Every inner product between stored rows is read from a cached Gram matrix
 ``X X^T``.  Its part over the box columns is cached too, because transport,
@@ -64,12 +64,6 @@ __all__ = ["LbfgsMemory", "MemoryPair", "SingularMiddleMatrix", "make_pair"]
 # the middle matrix is declared unusable.
 _COND_LIMIT = 1e14
 
-# The face Gram matrix is the full one minus the active columns' products.
-# A pair whose face ||y||^2 is at most this fraction of its active ||y||^2,
-# or whose face <s, y> is at most this fraction of its active ||s|| ||y||,
-# is roundoff of that subtraction, and the face-restricted inverse skips it.
-_FACE_FLOOR = 1e-12
-
 
 class SingularMiddleMatrix(RuntimeError):
     """Middle-matrix factorization failed; the caller should reset the memory."""
@@ -94,11 +88,6 @@ def make_pair(
     """
     step, grad_old = memory.carried
     return geom.unpack(step.copy()), geom.unpack(grad_new.data - grad_old)
-
-
-def _interleaved(pairs: np.ndarray) -> np.ndarray:
-    """Row indices ``2i, 2i + 1`` of ``X`` for the pair indices ``i``."""
-    return (2 * pairs[:, None] + np.arange(2)).ravel()
 
 
 class LbfgsMemory:
@@ -271,7 +260,7 @@ class LbfgsMemory:
         dropped = n - keep.size
         if dropped:
             self._rows[lo : lo + keep.size + 1] = self._rows[lo + np.append(keep, n)]
-            idx = _interleaved(keep)
+            idx = (2 * keep[:, None] + np.arange(2)).ravel()  # the rows s_i, y_i of X
             self._grams[:, : idx.size, : idx.size] = self._grams[:, idx[:, None], idx]
         self._size = keep.size
         self._stale = True
@@ -372,25 +361,6 @@ class LbfgsMemory:
     # ------------------------------------------------------------------
     # Inverse operator
 
-    def _inverse_kernel(self, gram: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(gamma, K)`` with ``B q = gamma q + X^T K X q`` for pairs of Gram ``gram``.
-
-        ``gram`` is the Gram matrix of interleaved rows ``X``; ``gamma`` is
-        ``<s, y> / <y, y>`` of the newest pair.  With ``R = triu(S Y^T)``,
-        the s-s block of ``K`` is ``R^{-T} (D + gamma Y Y^T) R^{-1}``, the s-y
-        block ``-gamma R^{-T}``, its transpose the y-s block, and the y-y
-        block zero (Byrd, Nocedal and Schnabel, 1994, Theorem 2.2).
-        """
-        mu = gram.shape[0] // 2
-        sy, yy = gram[0::2, 1::2], gram[1::2, 1::2]
-        gamma = float(sy[-1, -1] / yy[-1, -1])
-        r_inv = np.linalg.inv(np.where(self._upper[:mu, :mu], sy, 0.0))
-        kernel = np.zeros_like(gram)
-        kernel[0::2, 0::2] = r_inv.T @ (np.diag(sy.diagonal()) + gamma * yy) @ r_inv
-        kernel[0::2, 1::2] = -gamma * r_inv.T
-        kernel[1::2, 0::2] = -gamma * r_inv
-        return gamma, kernel
-
     def apply_inverse(
         self,
         geom: Geometry,
@@ -400,22 +370,24 @@ class LbfgsMemory:
     ) -> ProductTangent:
         """Apply ``B = H^{-1}`` to ``x`` in compact form.
 
-        With ``free_mask`` (a boolean vector over the box coordinates, True
-        for free ones) the operator is the inverse BFGS operator of the
-        pairs restricted to the tangent space of the active boundary face:
-        masked-out components of ``x`` and of every stored pair are treated
-        as zero, pairs whose curvature does not survive on the face, or
-        whose face ``<s, y>`` or ``<y, y>`` is roundoff against its active
-        part, are skipped, and the scaling is taken from the newest
-        surviving pair (1 when none survives).  This keeps the operator
-        positive definite on the face, so the result is a descent direction
-        there whenever ``x`` is the projected negative gradient.  The face
-        Gram matrix is the cached one minus the active columns' products,
-        and masked-out components of the result are zero.  Without a
-        masked-out coordinate nothing is subtracted, both floors reduce to
-        the curvature test that every stored pair passed on this Gram matrix
-        in :meth:`push` or :meth:`transport`, and the cached Gram matrix is
-        used as it is, with the same bits.  The result wraps a new vector.
+        On a free face ``B = gamma I + X^T K X`` with ``gamma = 1 / theta``;
+        with ``R = triu(S Y^T)``, the s-s block of ``K`` is
+        ``R^{-T} (D + gamma Y Y^T) R^{-1}``, the s-y block ``-gamma R^{-T}``,
+        its transpose the y-s block, and the y-y block zero (Byrd, Nocedal
+        and Schnabel, 1994, Theorem 2.2).  With ``free_mask`` (a boolean
+        vector over the box coordinates, True for free ones) masking some
+        out, ``B`` is the exact inverse of ``Z^T H Z``, the Hessian form on
+        the face of the free coordinates and the manifold part, and the
+        masked-out components of ``x`` and of the result are zero.  By
+        Woodbury, ``B q = (q + X_F^T (theta N - F)^{-1} X q) / theta`` with
+        ``N = M^{-1}`` and the face Gram matrix ``F = X_F X_F^T``; the system
+        is read off the cached Gram matrix: y-y block ``-theta D - Y Y^T``,
+        s-y block ``-R`` and s-s block ``S_A S_A^T`` over the active columns
+        (Byrd, Lu, Nocedal and Zhu, 1995, section 5).  ``Z^T H Z`` is positive
+        definite whenever ``H`` is, so the result descends on the face when
+        ``x`` is the projected negative gradient; a singular or non-finite
+        system raises :class:`SingularMiddleMatrix`.  The result wraps a new
+        vector.
         """
         q = x.data
         free = free_mask is None or free_mask.all()
@@ -425,27 +397,28 @@ class LbfgsMemory:
             q[active] = 0.0
         if not self._size:
             return geom.unpack((1.0 / self.theta) * q)
-        rows = self._live
-        gram = self._gram[: rows.shape[0], : rows.shape[0]]
+        rows, mu = self._live, self._size
+        gram = self._gram[: 2 * mu, : 2 * mu]
+        sy, yy = gram[0::2, 1::2], gram[1::2, 1::2]
+        upper = np.where(self._upper[:mu, :mu], sy, 0.0)
         if free:
-            gamma, kernel = self._inverse_kernel(gram)
+            gamma = float(sy[-1, -1] / yy[-1, -1])
+            r_inv = np.linalg.inv(upper)
+            kernel = np.zeros_like(gram)
+            kernel[0::2, 0::2] = r_inv.T @ (np.diag(sy.diagonal()) + gamma * yy) @ r_inv
+            kernel[0::2, 1::2] = -gamma * r_inv.T
+            kernel[1::2, 0::2] = -gamma * r_inv
             return geom.unpack(gamma * q + (kernel @ (rows @ q)) @ rows)
         cols = rows[:, active]
-        act = cols @ cols.T
-        face = gram - act
-        sy, yy = face.diagonal(1)[0::2], face.diagonal()[1::2]
-        act_ss, act_yy = act.diagonal()[0::2], act.diagonal()[1::2]
-        usable = (
-            self._passes_curvature(sy, yy)
-            & (yy > _FACE_FLOOR * act_yy)
-            & (sy > _FACE_FLOOR * np.sqrt(act_ss * act_yy))
-        )
-        if not usable.any():
-            return geom.unpack(q)
-        idx = slice(None) if usable.all() else _interleaved(np.flatnonzero(usable))
-        gamma, kernel = self._inverse_kernel(face[idx][:, idx])
-        coef = np.zeros(rows.shape[0])
-        coef[idx] = kernel @ (rows @ q)[idx]
-        r = gamma * q + coef @ rows
+        system = cols @ cols.T
+        system[0::2, 1::2] -= upper
+        system[1::2, 0::2] -= upper.T
+        system[1::2, 1::2] -= yy + np.diag(self.theta * sy.diagonal())
+        try:
+            r = (q + np.linalg.solve(system, rows @ q) @ rows) / self.theta
+            if not np.isfinite(r).all():
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            raise SingularMiddleMatrix("face system is singular; memory must be reset") from None
         r[active] = 0.0
         return geom.unpack(r)

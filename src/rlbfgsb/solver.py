@@ -10,10 +10,11 @@ update pair is admitted.
 The state keeps the projected steepest-descent direction of its iterate,
 the tangent-cone projection of the negative gradient: the quasi-Newton
 direction starts from it, its norm is the stationarity measure, and it is
-the fallback direction.  A missing Cauchy direction, a singular middle matrix
-met by the Cauchy search (the only reader of that matrix) or a failed line
-search discards the curvature memory and retries the iteration once along
-that fallback before giving up.
+the fallback direction.  A missing Cauchy direction, a singular face system
+of the inverse operator, a singular middle matrix met by the Cauchy search
+(the only reader of that matrix) or a failed line search discards the
+curvature memory and retries the iteration once along that fallback before
+giving up.
 """
 
 from __future__ import annotations
@@ -98,8 +99,9 @@ class StepReport:
     ``pairs_dropped`` counts the stored pairs whose curvature the transport
     destroyed; ``pair_rejected`` says the curvature test refused the new
     pair.  ``memory_resets`` counts the resets before the retry, a singular
-    middle matrix among their causes.  ``ls_evals`` counts the line-search cost
-    evaluations, those of a search that failed before a reset included.
+    middle matrix or face system among their causes.  ``ls_evals`` counts
+    the line-search cost evaluations, those of a search that failed before a
+    reset included.
     ``stop`` is the termination the step calls for, if any.
     """
 
@@ -138,8 +140,11 @@ def _cauchy_direction(state: SolverState, geom: Geometry, reset: bool):
     active bounds into the free coordinates and routinely emits ascent
     directions near bound-active optima.  With ``reset`` (the memory has
     just been reset) the projected negative gradient ``q`` is used directly.
-    The search is handed ``H[d] = q`` where that holds: after a reset, and
-    when no coordinate is masked and the cone projection keeps ``d = B q``.
+    The search is handed ``q`` as ``H[d]``: after a reset, and whenever the
+    cone projection keeps ``d = B q``.  On a masked face ``H[d]`` equals ``q``
+    on the face only, and ``d`` is zero off it, so ``<d, H[d]> = <d, q>``.
+    A singular face system raises :class:`SingularMiddleMatrix`, as a
+    singular middle matrix does in the search.
     """
     p, d = state.point, state.steepest
     hd = d  # H = I while the memory is empty
@@ -150,7 +155,7 @@ def _cauchy_direction(state: SolverState, geom: Geometry, reset: bool):
         face = None if free.all() else free
         bq = state.memory.apply_inverse(geom, p, d, free_mask=face)
         d = geom.project_tangent_cone(p, bq)
-        hd = hd if face is None and (d.euclidean == bq.euclidean).all() else None
+        hd = hd if (d.euclidean == bq.euclidean).all() else None
     return generalized_cauchy_direction(geom, p, state.grad, d, state.memory, hd=hd)
 
 

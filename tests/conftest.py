@@ -2,13 +2,15 @@
 
 The oracles here deliberately avoid the compact representation and the
 incremental segment updates: dense BFGS matrices are built by the direct
-rank-two update formula, inverses by the Sherman-Morrison dual update, and
-the piecewise-quadratic path model is minimized by walking its segments
-with explicit dense algebra.
+rank-two update formula, inverses by the Sherman-Morrison dual update or a
+dense solve on the face, the piecewise-quadratic path model is minimized by
+walking its segments with explicit dense algebra, and tangents are moved
+one at a time.  :func:`dense_step` composes them into one solver iteration.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -22,14 +24,42 @@ settings.register_profile("rlbfgsb", deadline=None, derandomize=True)
 settings.load_profile("rlbfgsb")
 
 
-def dense_bfgs_matrix(mem: rb.LbfgsMemory, n: int) -> np.ndarray:
-    """Direct BFGS matrix from the stored pairs, seeded with theta * I."""
-    h = mem.theta * np.eye(n)
+def dense_bfgs_matrix(mem: rb.LbfgsMemory, n: int, scalar=None) -> np.ndarray:
+    """Direct BFGS matrix of the stored pairs, packed rows of width ``n``, from theta * I.
+
+    With ``scalar`` (``mpmath.mpf``, say) the entries are converted to it
+    and the recursion runs on an object array at that type's precision.
+    """
+    conv = (lambda a: a) if scalar is None else np.vectorize(scalar, otypes=[object])
+    h = conv(mem.theta * np.eye(n))
     for pair in mem.pairs:
-        s, y = pair.s.euclidean, pair.y.euclidean
+        s, y = conv(pair.s.data), conv(pair.y.data)
         hs = h @ s
         h = h - np.outer(hs, hs) / (s @ hs) + np.outer(y, y) / (y @ s)
     return h
+
+
+def dense_reduced_inverse(mem: rb.LbfgsMemory, face: np.ndarray) -> np.ndarray:
+    """``H[F, F]^{-1}`` in the packed width, zero off the face ``F`` (a boolean mask).
+
+    ``H`` is :func:`dense_bfgs_matrix`.  A float64 inverse is accurate to
+    about ``eps * cond(H[F, F])``, and pairs near the curvature threshold
+    make that condition number large; above 1e6 the matrix and its inverse
+    are formed again at 50 digits with mpmath, so the oracle's own error
+    stays far below the tolerances it is checked with.
+    """
+    idx = np.ix_(face, face)
+    out = np.zeros((face.size, face.size))
+    h = dense_bfgs_matrix(mem, face.size)[idx]
+    if not h.size:
+        return out
+    if np.linalg.cond(h) <= 1e6:
+        out[idx] = np.linalg.inv(h)
+        return out
+    with mpmath.workdps(50):
+        h = dense_bfgs_matrix(mem, face.size, mpmath.mpf)[idx]
+        out[idx] = np.array(mpmath.inverse(mpmath.matrix(h.tolist())).tolist(), dtype=float)
+    return out
 
 
 def dense_inverse_bfgs_matrix(mem: rb.LbfgsMemory, n: int) -> np.ndarray:
@@ -114,6 +144,80 @@ def path_first_local_minimizer(p, d, g, h, lower, upper, times):
             return a, q_of(a)
     a = starts[-1]
     return a, q_of(a)
+
+
+def per_vector_transport(geom, p, step, v):
+    """Reference: one three-argument ``Manifold.transport`` call per tangent."""
+    m = None
+    if geom.manifold is not None:
+        m = geom.manifold.transport(p.manifold, step.manifold, v.manifold)
+    return rb.ProductTangent(v.euclidean.copy(), m)
+
+
+def dense_step(problem: rb.Problem, state: rb.SolverState, reset: bool = False):
+    """One solver iteration from ``state`` by dense algebra, or None without a Cauchy step.
+
+    ``H`` is :func:`dense_bfgs_matrix` of ``state.memory`` (the identity
+    with ``reset``).  The face ``F`` holds the box coordinates that the cone
+    projection ``q`` of ``-grad`` keeps, and the manifold part; the
+    quasi-Newton direction ``d`` is ``solve(H[F, F], q[F])`` projected onto
+    the tangent cone.  The Cauchy time is the first local minimizer of the
+    model along the projected path of ``d`` (the manifold coordinates
+    unbounded), capped at ``max_stepsize / |d_M|``; the direction is the
+    path offset there.  The Armijo search is the solver's.  The stored pairs
+    are moved one vector at a time and dropped where they fail the
+    curvature test, and the new pair ``(T step, grad_new - T grad)`` is
+    appended where it passes, the oldest evicted past capacity.  Returns
+    ``(direction, accepted point, pairs, theta)``, ``theta`` the newest
+    pair's ``<y, y> / <s, y>`` (1 without pairs).
+    """
+    geom, mem, p, grad = problem.geometry, state.memory, state.point, state.grad
+    width, nb = grad.data.size, geom.box.n
+    q = geom.project_tangent_cone(p, -grad)
+    h = np.eye(width) if reset else dense_bfgs_matrix(mem, width)
+    face = np.ones(width, dtype=bool)
+    face[:nb] = q.euclidean == -grad.euclidean
+    r = np.zeros(width)
+    r[face] = np.linalg.solve(h[np.ix_(face, face)], q.data[face])
+    d = geom.project_tangent_cone(p, geom.unpack(r)).data
+
+    unbounded = np.full(width - nb, np.inf)
+    lower, upper = np.r_[geom.box.lower, -unbounded], np.r_[geom.box.upper, unbounded]
+    x = np.r_[p.euclidean, np.zeros(width - nb)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        times = np.where(d > 0, (upper - x) / d, np.where(d < 0, (lower - x) / d, np.inf))
+    t, _ = path_first_local_minimizer(x, d, grad.data, h, lower, upper, times)
+    length = np.linalg.norm(d[nb:])
+    if length > 0.0:
+        t = min(t, geom.max_stepsize(p) / length)
+    if not t > 0.0:
+        return None
+    direction = geom.unpack(np.clip(x + t * d, lower, upper) - x)
+    slope = geom.inner(p, grad, direction)
+    alpha, _, _, p_new = rb.linesearch.armijo_capped(
+        problem.cost, geom, p, direction, state.cost, slope, 1.0
+    )
+
+    step = alpha * direction
+
+    def passes(s, y):
+        sy, yy = float(s.data @ y.data), float(y.data @ y.data)
+        return yy > 0.0 and sy > 0.0 and sy >= mem.curvature_eps * yy
+
+    pairs = [] if reset else [
+        (per_vector_transport(geom, p, step, pr.s), per_vector_transport(geom, p, step, pr.y))
+        for pr in mem.pairs
+    ]
+    pairs = [pr for pr in pairs if passes(*pr)]
+    s = per_vector_transport(geom, p, step, step)
+    y = problem.gradient(p_new) - per_vector_transport(geom, p, step, grad)
+    if passes(s, y):
+        pairs = (pairs + [(s, y)])[-mem.capacity :]
+    theta = 1.0
+    if pairs:
+        s, y = pairs[-1]
+        theta = float(y.data @ y.data) / float(s.data @ y.data)
+    return direction, p_new, pairs, theta
 
 
 @pytest.fixture

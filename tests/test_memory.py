@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -395,7 +396,7 @@ class TestApplyInverse:
             assert np.max(np.abs(got - expected)) <= 1e-9 * (1.0 + np.max(np.abs(expected)))
 
     def test_face_restriction_descends(self, rng):
-        # The face-restricted recursion must give a descent direction for the
+        # The inverse on the face must give a descent direction for the
         # projected gradient regardless of what the full operator would do.
         geom = box_geometry([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         for _ in range(50):
@@ -422,25 +423,27 @@ class TestApplyInverse:
     @pytest.mark.parametrize(
         "s, y",
         [
-            # The face parts are roundoff against the active ones; used, the
-            # pair would set the face scaling to 0.1 and blow the result up
+            # The face parts are roundoff against the active ones: a face
+            # scaling taken from them would be 0.1 and blow the result up
             # tenfold.
             (([1.0, 0.0], 1e-14), ([1.0, 0.0], 1e-15)),
             # Only the face part of y is: its face <y, y> of 9e-14 keeps few
-            # digits after the subtraction of 1, and, used, would scale the
-            # result by 3e6.
+            # digits after a subtraction of 1, and, taken as the face
+            # scaling, would scale the result by 3e6.
             (([1.0, 0.0], 1.0), ([1.0, 0.0], 3e-7)),
             # The face parts are nearly orthogonal: their <s, y> of 1e-17 is
-            # below the rounding of the full <s, y> of about 1 from which the
-            # face value is taken, so it reads as 2.2e-16, passes the
-            # scale-free curvature test against the face <y, y> of 1e-10,
-            # and, used, would make the result about 1e16 in norm.
+            # below the rounding of the full <s, y> of about 1.  The exact
+            # reduced system gives 2.9999999997 at the free box coordinate,
+            # not the 1.5 of an operator that skips the pair.
             (([1.0, 1.0], -1.1e-11), ([1.0, 1.2e-16], 1e-5)),
         ],
     )
     def test_face_skips_roundoff_level_pair(self, s, y):
         # The box coordinate 0 is active, and the pair's face part is its
-        # second box coordinate and its sphere part.
+        # second box coordinate and its sphere part.  The result solves the
+        # reduced system H[F, F] r = x[F] of the one Hessian form, whose
+        # answer a 50-digit solve gives; no roundoff of a face Gram
+        # subtraction reaches it.
         geom = Geometry(BoxBounds(np.zeros(2), np.ones(2)), Sphere(3))
         p = ProductPoint(np.array([0.0, 0.5]), np.array([0.0, 0.0, 1.0]))
         mem = LbfgsMemory(capacity=2)
@@ -448,4 +451,8 @@ class TestApplyInverse:
         assert mem.push(geom, p, s, y)
         x = ProductTangent(np.array([2.0, 1.5]), np.zeros(3))
         out = mem.apply_inverse(geom, p, x, free_mask=np.array([False, True]))
-        assert_allclose(out.data, [0.0, 1.5, 0.0, 0.0, 0.0], rtol=1e-15)
+        with mpmath.workdps(50):
+            h = dense_bfgs_matrix(mem, 5, mpmath.mpf)[1:, 1:]
+            r = mpmath.lu_solve(mpmath.matrix(h.tolist()), mpmath.matrix(x.data[1:].tolist()))
+        want = np.array([0.0] + [float(v) for v in r])
+        assert np.max(np.abs(out.data - want)) <= 1e-15 * np.max(np.abs(want))

@@ -3,9 +3,9 @@
 Geometries are a box alone, a box times a sphere, and a box times a Stiefel
 manifold.  Bounds mix finite and infinite entries; memory contents come from
 a seeded generator so every drawn case is reproducible.  The oracles are
-dense: the inverse-BFGS matrix built by the product update rule, one
-three-argument ``Manifold.transport`` call per tangent, and an explicit
-inverse of the block matrix.
+dense: the BFGS matrix built by the direct update rule and its inverse on
+the face, one three-argument ``Manifold.transport`` call per tangent, and an
+explicit inverse of the block matrix.
 """
 
 import numpy as np
@@ -17,6 +17,8 @@ import rlbfgsb as rb
 from rlbfgsb import BoxBounds, Geometry, LbfgsMemory, ProductTangent, make_pair
 from rlbfgsb.gcd import generalized_cauchy_direction
 from rlbfgsb.solver import SolverState, _cauchy_direction
+
+from conftest import dense_bfgs_matrix, dense_reduced_inverse, per_vector_transport
 
 SETTINGS = settings(max_examples=150)
 
@@ -60,14 +62,6 @@ def weight(geom, mask):
     return ProductTangent(mask.astype(float), ones).data
 
 
-def per_vector_transport(geom, p, step, v):
-    """Reference: one three-argument ``Manifold.transport`` call per tangent."""
-    m = None
-    if geom.manifold is not None:
-        m = geom.manifold.transport(p.manifold, step.manifold, v.manifold)
-    return ProductTangent(v.euclidean.copy(), m)
-
-
 def assert_matches_at(geom, q, got, want):
     """``got`` equals ``want`` to 1e-12 and is tangent at ``q``."""
     scale = 1.0 + np.max(np.abs(want.data))
@@ -75,37 +69,11 @@ def assert_matches_at(geom, q, got, want):
     assert geom.tangency_residual(q, got) <= 1e-10 * scale
 
 
-def dense_masked_inverse(geom, mem, w):
-    """Inverse BFGS from the masked pairs that pass the curvature test."""
-    pairs = []
-    for pr in mem.pairs:
-        s, y = w * pr.s.data, w * pr.y.data
-        sy, yy = s @ y, y @ y
-        if yy > 0 and sy >= mem.curvature_eps * yy:
-            pairs.append((s, y, sy, yy))
-    if not mem.size:
-        theta = mem.theta
-    else:
-        theta = pairs[-1][3] / pairs[-1][2] if pairs else 1.0
-    eye = np.eye(w.size)
-    b = eye / theta
-    for s, y, sy, _ in pairs:
-        v = eye - np.outer(s, y) / sy
-        b = v @ b @ v.T + np.outer(s, s) / sy
-    return b
-
-
 @SETTINGS
 @given(cases())
 def test_masked_inverse_matches_dense_oracle(case):
     geom, p, mem, rng, mask = case
-    x = geom.random_tangent(p, rng)
-    w = weight(geom, mask)
-    binv = dense_masked_inverse(geom, mem, w)
-    v = w * x.data
-    got = mem.apply_inverse(geom, p, x, free_mask=mask).data
-    tol = 1e-9 * (1.0 + np.linalg.norm(binv, 2) * np.linalg.norm(v))
-    assert np.linalg.norm(got - binv @ v) <= tol
+    assert_masked_inverse_matches(geom, p, mem, rng, mask)
 
 
 @SETTINGS
@@ -130,51 +98,44 @@ def test_all_free_mask_equals_no_mask(case):
     np.testing.assert_array_equal(masked.data, full.data)
 
 
-def face_formula_inverse(mem, x, free_mask):
-    """The face-restricted formula of ``apply_inverse`` for every mask, a free one included.
+def free_face_formula_inverse(mem, x):
+    """``gamma x + X^T K X x`` by Theorem 2.2 of Byrd, Nocedal and Schnabel (1994).
 
-    Subtracts the active columns' products (none on a free face), floors the
-    face curvatures against them, and scatters the kernel product into the
-    usable pairs' coefficients; kept as the bitwise oracle of the operator.
+    Reads ``R = triu(S Y^T)``, ``D`` and ``Y Y^T`` off the cached Gram
+    matrix, with ``gamma`` the newest pair's ``<s, y> / <y, y>``, and copies
+    the rows from the pairs.
     """
-    q = x.copy()
-    active = np.flatnonzero(~free_mask) if free_mask is not None else np.zeros(0, int)
-    q[active] = 0.0
     if not mem.size:
-        return (1.0 / mem.theta) * q
+        return (1.0 / mem.theta) * x
     rows = np.array([row for pair in zip(mem.S, mem.Y) for row in pair])  # s_0, y_0, s_1, ...
-    cols = rows[:, active]
-    act = cols @ cols.T
-    face = mem._gram[: rows.shape[0], : rows.shape[0]] - act
-    sy, yy = face.diagonal(1)[0::2], face.diagonal()[1::2]
-    act_ss, act_yy = act.diagonal()[0::2], act.diagonal()[1::2]
-    usable = (
-        (yy > 0.0)
-        & (sy >= mem.curvature_eps * yy)
-        & (yy > 1e-12 * act_yy)
-        & (sy > 1e-12 * np.sqrt(act_ss * act_yy))
-    )
-    if not usable.any():
-        return q
-    idx = np.flatnonzero(np.repeat(usable, 2))
-    gamma, kernel = mem._inverse_kernel(face[np.ix_(idx, idx)])
-    coef = np.zeros(rows.shape[0])
-    coef[idx] = kernel @ (rows @ q)[idx]
-    r = gamma * q + coef @ rows
-    r[active] = 0.0
-    return r
+    gram = mem._gram[: rows.shape[0], : rows.shape[0]]
+    sy, yy = gram[0::2, 1::2], gram[1::2, 1::2]
+    gamma = float(sy[-1, -1] / yy[-1, -1])
+    r_inv = np.linalg.inv(np.triu(sy))
+    kernel = np.zeros_like(gram)
+    kernel[0::2, 0::2] = r_inv.T @ (np.diag(sy.diagonal()) + gamma * yy) @ r_inv
+    kernel[0::2, 1::2] = -gamma * r_inv.T
+    kernel[1::2, 0::2] = -gamma * r_inv
+    return gamma * x + (kernel @ (rows @ x)) @ rows
 
 
 @SETTINGS
 @given(cases(), st.sampled_from(["none", "all free", "drawn"]))
 def test_inverse_matches_face_formula_bitwise(case, which):
-    # A free face reads the cached Gram matrix as it is; it must give the
-    # same bits as the face formula with nothing masked out.
+    # A free face reads the cached Gram matrix as it is, with the same bits
+    # as the Byrd-Nocedal-Schnabel formula; a masked face solves the reduced
+    # system, which matches the dense solve on the face to roundoff.
     geom, p, mem, rng, mask = case
     free_mask = {"none": None, "all free": np.ones_like(mask), "drawn": mask}[which]
     x = geom.random_tangent(p, rng)
     got = mem.apply_inverse(geom, p, x, free_mask=free_mask).data
-    want = face_formula_inverse(mem, x.data, free_mask)
+    if free_mask is not None and not free_mask.all():
+        binv = dense_reduced_inverse(mem, weight(geom, free_mask) > 0.0)
+        v = weight(geom, free_mask) * x.data
+        tol = 1e-9 * (1.0 + np.linalg.norm(binv, 2) * np.linalg.norm(v))
+        assert np.linalg.norm(got - binv @ v) <= tol
+        return
+    want = free_face_formula_inverse(mem, x.data)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -265,20 +226,10 @@ def test_middle_matrix_inverts_block_matrix(case):
     assert np.max(np.abs(residual)) <= 1e-9
 
 
-def dense_hessian(mem, width):
-    """The BFGS recursion over the packed rows of ``mem.pairs``, from ``theta I``."""
-    h = mem.theta * np.eye(width)
-    for pr in mem.pairs:
-        s, y = pr.s.data, pr.y.data
-        hs = h @ s
-        h = h - np.outer(hs, hs) / (s @ hs) + np.outer(y, y) / (y @ s)
-    return h
-
-
 def assert_pairing_matches_dense_hessian(geom, q, mem, rng):
     """``pairing`` equals ``x^T H y`` to 1e-9 relative and is positive on ``x = y``."""
     x, y = geom.random_tangent(q, rng), geom.random_tangent(q, rng)
-    h = dense_hessian(mem, x.data.size)
+    h = dense_bfgs_matrix(mem, x.data.size)
     scale = np.linalg.norm(h, 2) * np.linalg.norm(x.data) * np.linalg.norm(y.data)
     assert abs(mem.pairing(geom, q, x, y) - x.data @ h @ y.data) <= 1e-9 * scale
     assert mem.pairing(geom, q, x, x) > 0.0
@@ -349,9 +300,8 @@ def test_stiefel_transport_to_a_given_target_does_not_retract(monkeypatch):
 def assert_masked_inverse_matches(geom, p, mem, rng, mask):
     """Masked ``apply_inverse`` of a random tangent agrees with the dense oracle."""
     x = geom.random_tangent(p, rng)
-    w = weight(geom, mask)
-    binv = dense_masked_inverse(geom, mem, w)
-    v = w * x.data
+    binv = dense_reduced_inverse(mem, weight(geom, mask) > 0.0)
+    v = weight(geom, mask) * x.data
     got = mem.apply_inverse(geom, p, x, free_mask=mask).data
     tol = 1e-9 * (1.0 + np.linalg.norm(binv, 2) * np.linalg.norm(v))
     assert np.linalg.norm(got - binv @ v) <= tol
@@ -487,8 +437,9 @@ def test_masked_inverse_at_bench_shapes(shape, seed):
 def test_curvature_handed_to_the_cauchy_search_matches_the_middle_matrix(case, scale):
     # After a transport that may drop pairs, some box coordinates are put on
     # a bound, so that the face is sometimes masked and the cone projection
-    # sometimes changes B q.  Wherever the solver hands the Cauchy search
-    # H[d], <d, H[d]> from it is the middle matrix's value.
+    # sometimes changes B q.  The solver hands the Cauchy search H[d] after
+    # a reset and wherever the projection keeps d = B q, masked face or not;
+    # there <d, H[d]> from it is the middle matrix's value.
     geom, p, mem, rng, mask = case
     step = scale * geom.random_tangent(p, rng)
     q = geom.retract(p, step)
@@ -498,7 +449,13 @@ def test_curvature_handed_to_the_cauchy_search_matches_the_middle_matrix(case, s
     q.euclidean = np.where(~mask & ~np.isfinite(lower) & np.isfinite(upper), upper, q.euclidean)
     grad = geom.random_tangent(q, rng)
     state = SolverState(q, grad, geom.project_tangent_cone(q, -grad), 0.0, mem)
-    seen = []
+    masked = not np.array_equal(state.steepest.euclidean, -grad.euclidean)
+    seen, inverses = [], []
+    apply_inverse = LbfgsMemory.apply_inverse
+
+    def inverse(*args, **kwargs):
+        inverses.append(apply_inverse(*args, **kwargs))
+        return inverses[-1]
 
     def search(geom, p, grad, d, mem, *rest, hd=None):
         seen.append((d, hd))
@@ -506,6 +463,7 @@ def test_curvature_handed_to_the_cauchy_search_matches_the_middle_matrix(case, s
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rb.solver, "generalized_cauchy_direction", search)
+        mp.setattr(LbfgsMemory, "apply_inverse", inverse)
         for reset in (False, True):
             if reset:
                 mem.reset()
@@ -514,7 +472,9 @@ def test_curvature_handed_to_the_cauchy_search_matches_the_middle_matrix(case, s
             except rb.SingularMiddleMatrix:
                 continue
             d, hd = seen[-1]
-            event(f"reset={reset} handed H[d]={hd is not None}")
+            kept = reset or np.array_equal(d.data, inverses[-1].data)
+            event(f"reset={reset} masked={masked} handed H[d]={hd is not None}")
+            assert (hd is not None) == kept
             if hd is not None:
                 # relative to the larger of the two terms the M-based value
                 # subtracts: on a near-singular memory it cancels

@@ -299,27 +299,41 @@ def spy_middle_builds(monkeypatch, log, fail_at=None):
 
 class TestMemoryBookkeeping:
     def test_middle_built_only_where_read(self, monkeypatch):
-        # BSS always has an active face, so its Cauchy search reads M once
-        # per iteration; the box-free Rayleigh solve hands the search H[d]
-        # and never builds M.
+        # BSS has an active face at every iterate, and its Cauchy search is
+        # still handed H[d] wherever the cone projection keeps d = B q; such
+        # a search builds M only when it crosses a breakpoint.  The box-free
+        # Rayleigh solve is always handed H[d], crosses nothing and never
+        # builds M.
         bss = bss_problem(synth_bss(k=3, r=3, n=50, amplitude=1.0, seed=0, lam=0.1))
-        for prob, p0, most in ((bss, bss.initial_point, 1), (*random_rayleigh(30, 0), 0)):
-            builds, reports = [], []
+        real = rb.solver.generalized_cauchy_direction
+        for prob, p0, most in ((bss, bss.initial_point, 0.3), (*random_rayleigh(30, 0), 0)):
+            builds, crossings, searches = [], [], []
+
+            def search(geom, p, grad, d, mem, *rest, hd=None):
+                before = len(builds), len(crossings)
+                out = real(geom, p, grad, d, mem, *rest, hd=hd)
+                crossed = len(crossings) > before[1]
+                searches.append((hd is not None, crossed, len(builds) - before[0]))
+                return out
+
             with monkeypatch.context() as m:
                 spy_middle_builds(m, builds)
-                spy(m, rb.solver, "step", reports)
+                spy(m, rb.gcd, "segment_values", crossings)
+                m.setattr(rb.solver, "generalized_cauchy_direction", search)
                 res = solve(prob, p0)
             assert res.iterations >= 20
-            assert len(builds) <= most * len(reports)
-            assert len(builds) >= most * (res.iterations - 1)
+            assert sum(n for _, _, n in searches) == len(builds) <= most * res.iterations
+            assert all(n <= 1 for _, _, n in searches)
+            assert all(n == 0 for handed, crossed, n in searches if handed and not crossed)
+            assert sum(handed for handed, _, _ in searches) > len(searches) / 2
 
     def test_step_report_counts_match_memory(self, monkeypatch):
         reports, pushes, transports = [], [], []
         spy(monkeypatch, rb.solver, "step", reports)
         spy(monkeypatch, LbfgsMemory, "push", pushes)
         spy(monkeypatch, LbfgsMemory, "transport", transports)
-        # this BSS instance is one whose transport drops pairs
-        bss = bss_problem(synth_bss(k=3, r=3, n=10, amplitude=1.0, seed=5, lam=0.1))
+        # this BSS instance is one whose transport drops a pair
+        bss = bss_problem(synth_bss(k=3, r=3, n=10, amplitude=1.0, seed=25, lam=0.1))
         for prob in euclidean_suite() + [bss]:
             solve(prob, prob.initial_point)
         assert sum(r.pair_rejected for r in reports) == pushes.count(False) > 0
@@ -486,16 +500,17 @@ class TestOneRetractionPerEvaluation:
         assert res.iterations >= 20
         assert len(retractions) == res.cost_evals - 1
 
-        # a box x Stiefel solve whose third middle-matrix build fails: the
+        assert sum(r.memory_resets for r in reports) == 0
+
+        # the same solve with its third middle-matrix build failing: the
         # Cauchy search that reads it resets the memory and retries
         builds = []
         spy_middle_builds(monkeypatch, builds, fail_at=3)
-        prob = box_stiefel_problem()
         retractions.clear()
         reports.clear()
-        res = solve(prob, prob.initial_point)
+        res = solve(bss, bss.initial_point)
         assert len(builds) > 3
-        assert sum(r.memory_resets for r in reports) == 1  # none without the forced failure
+        assert sum(r.memory_resets for r in reports) == 1
         assert res.iterations >= 5
         assert len(retractions) == res.cost_evals - 1
 
