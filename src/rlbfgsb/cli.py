@@ -183,6 +183,8 @@ def run_suite(
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
     timer = timer or time.perf_counter
     opts = options or SolverOptions()
     tasks = _build_problems(suite, seed, instances, csv_path, class_column)
@@ -223,12 +225,12 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
-    options = SolverOptions(
-        memory_capacity=args.mu,
-        pg_tolerance=args.pg_tol,
-        max_iterations=args.max_iters,
-    )
     try:
+        options = SolverOptions(
+            memory_capacity=args.mu,
+            pg_tolerance=args.pg_tol,
+            max_iterations=args.max_iters,
+        )
         return run_suite(
             args.suite,
             out=args.out,

@@ -212,10 +212,18 @@ class Manifold:
     so the product geometry evaluates it itself.  ``transport`` and
     ``project_tangent`` also accept tangents with leading batch axes, and
     ``transport`` takes ``q = retract(p, x)`` when the caller already has it.
+
+    :attr:`isometric` declares that ``transport`` is an isometry of the
+    tangent space: ``<T u, T v> = <u, v>`` for all tangents ``u, v`` at ``p``.
+    The L-BFGS memory then keeps its Gram matrix, scaling and middle matrix
+    across a transport instead of recomputing them, so set it only for a
+    transport that preserves inner products up to roundoff.
     """
 
     #: Conservative bound on the usable step length (injectivity radius).
     max_stepsize: float = np.inf
+    #: ``transport`` is an isometry of the tangent space.
+    isometric: bool = False
     #: Array shape of a point or tangent vector.
     shape: tuple[int, ...] = ()
 
@@ -248,6 +256,7 @@ class Sphere(Manifold):
     """Unit sphere ``S^{d-1}`` embedded in ``R^d``; exact geodesic operations."""
 
     max_stepsize = math.pi
+    isometric = True  # parallel transport
 
     def __init__(self, ambient_dim: int):
         if ambient_dim < 2:

@@ -34,9 +34,11 @@ to the face, one solve of a ``2 mu x 2 mu`` system: one model on every face.
 Every inner product between stored rows is read from a cached Gram matrix
 ``X X^T``.  Its part over the box columns is cached too, because transport,
 the identity on the box, leaves it unchanged.  The two are stacked, so one
-store updates both: a transport recomputes only the manifold columns'
-products, :meth:`~LbfgsMemory.push` adds only the new pair's rows and
-columns, and an eviction shifts these small matrices, not the rows.  The
+store updates both: a transport by an isometry (the box alone, or a
+manifold whose :attr:`~rlbfgsb.geometry.Manifold.isometric` is set) keeps
+them, any other transport recomputes only the manifold columns' products,
+:meth:`~LbfgsMemory.push` adds only the new pair's rows and columns, and an
+eviction shifts these small matrices, not the rows.  The
 rows live in a window of ``2 capacity + 1`` slots: an eviction only advances
 the window's start, so ``X`` stays one contiguous block, and the live block
 is copied back to the front once every ``capacity + 1`` evictions.
@@ -44,10 +46,11 @@ is copied back to the front once every ``capacity + 1`` evictions.
 Between outer iterations the pairs, the step and the old gradient (in the
 slot after the newest pair) are carried to the accepted point by vector
 transport: the identity on the box, one batched call for the manifold
-columns.  Pairs that the transport leaves failing the curvature test
-(``<s, y> > 0`` and ``<s, y> >= eps ||y||^2``) are discarded, which keeps the
-operator positive definite; :func:`make_pair` forms the new pair from the
-carried slot.
+columns.  An isometric transport changes no curvature, so the pairs, the
+scaling and the middle matrix stand.  After any other transport, pairs that
+fail the curvature test (``<s, y> > 0`` and ``<s, y> >= eps ||y||^2``) are
+discarded, which keeps the operator positive definite.  :func:`make_pair`
+forms the new pair from the carried slot.
 """
 
 from __future__ import annotations
@@ -239,17 +242,21 @@ class LbfgsMemory:
         ``step`` and ``grad_old`` move in the slot after the newest pair, in
         the same batched call, and stay readable as :attr:`carried` until the
         next :meth:`push`; pass ``p_new`` when it is known, so it is not
-        retracted again.  The manifold part of the Gram matrix is recomputed,
-        and pairs whose curvature the transport destroys are discarded;
-        returns how many were dropped.  The scaling is reset from the newest
-        survivor, and the middle matrix is marked stale; the next read
-        rebuilds it.
+        retracted again; returns how many pairs were dropped.  The box is
+        moved by the identity; when the manifold's transport is isometric
+        too (:attr:`Manifold.isometric`), every inner product between rows
+        survives it, so the Gram matrix, the curvatures, the scaling and the
+        middle matrix are kept as they are and nothing is dropped.
+        Otherwise the manifold part of the Gram matrix is recomputed, pairs
+        whose curvature the transport destroys are discarded, the scaling is
+        reset from the newest survivor, and the middle matrix is marked
+        stale; the next read rebuilds it.
         """
         self._fit(geom, step.data.size)
         n, lo = self._size, self._start
         self._rows[lo + n, 0], self._rows[lo + n, 1] = step.data, grad_old.data
         geom.transport(p_old, step, self._rows[lo : lo + n + 1], p_new)
-        if not n or geom.manifold is None:
+        if not n or geom.manifold is None or geom.manifold.isometric:
             return 0
         m = 2 * n
         xm = self._live[:, geom.box.n :]

@@ -63,8 +63,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.memory_capacity < 1:
             raise ValueError("memory_capacity must be >= 1")
-        if self.pg_tolerance <= 0 or self.cost_change_factor <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.pg_tolerance < math.inf and 0 < self.cost_change_factor < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

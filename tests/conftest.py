@@ -42,18 +42,21 @@ def dense_bfgs_matrix(mem: rb.LbfgsMemory, n: int, scalar=None) -> np.ndarray:
 def dense_reduced_inverse(mem: rb.LbfgsMemory, face: np.ndarray) -> np.ndarray:
     """``H[F, F]^{-1}`` in the packed width, zero off the face ``F`` (a boolean mask).
 
-    ``H`` is :func:`dense_bfgs_matrix`.  A float64 inverse is accurate to
-    about ``eps * cond(H[F, F])``, and pairs near the curvature threshold
-    make that condition number large; above 1e6 the matrix and its inverse
-    are formed again at 50 digits with mpmath, so the oracle's own error
-    stays far below the tolerances it is checked with.
+    ``H`` is :func:`dense_bfgs_matrix`.  Its float64 recursion adds terms
+    up to ``scale = theta + sum <y, y> / <s, y>`` large, so its entries are
+    accurate to about ``eps * scale``, and their inverse to about
+    ``eps * cond(H[F, F]) * scale / |H[F, F]|``.  Pairs near the curvature
+    threshold make both factors large; when their product exceeds 1e6 the
+    matrix and its inverse are formed again at 50 digits with mpmath, so the
+    oracle's own error stays far below the tolerances it is checked with.
     """
     idx = np.ix_(face, face)
     out = np.zeros((face.size, face.size))
     h = dense_bfgs_matrix(mem, face.size)[idx]
     if not h.size:
         return out
-    if np.linalg.cond(h) <= 1e6:
+    scale = mem.theta + sum(float(pr.y.data @ pr.y.data) / pr.sy for pr in mem.pairs)
+    if np.linalg.cond(h) * scale / np.linalg.norm(h, 2) <= 1e6:
         out[idx] = np.linalg.inv(h)
         return out
     with mpmath.workdps(50):

@@ -38,9 +38,12 @@ def rayleigh(dim, seed):
 def test_rayleigh_solve_ceiling():
     # No box: the Cauchy search is handed H[d] and never builds the middle
     # matrix, so the one LAPACK call per iteration is the inverse kernel's.
+    # Sphere transport is isometric, so the memory keeps its Gram matrix,
+    # theta and middle matrix across it: measured 213.9 calls per iteration,
+    # against 231.4 when every transport recomputed and re-tested them.
     row = call_ledger.ledger([rayleigh(30, 0)], SolverOptions())
     assert row["iterations"] >= 20
-    assert row["calls_per_iter"] <= 250
+    assert row["calls_per_iter"] <= 220
     assert row["lapack_per_iter"] <= 1.0
     assert row["middle_builds"] == 0
 

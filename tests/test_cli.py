@@ -132,3 +132,21 @@ class TestMain:
         assert code == 0
         _, rows = read_rows(out)
         assert any(r[8] == "max_iterations" for r in rows[:-1])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["euclidean", "--mu", "0"],
+            ["euclidean", "--max-iters", "0"],
+            ["euclidean", "--pg-tol", "-1"],
+            ["euclidean", "--pg-tol", "nan"],
+            ["bss", "--instances", "0"],
+            ["cpc", "--instances", "0"],
+        ],
+    )
+    def test_invalid_value_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "res.csv"
+        code = main(["run", *args, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

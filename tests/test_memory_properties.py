@@ -316,6 +316,23 @@ def block_from_pairs(mem):
     return np.block([[-np.diag(np.diag(sy)), low.T], [low, mem.theta * (s @ s.T)]])
 
 
+def assert_gram_matches_rows(geom, mem):
+    """The cached full and box Gram blocks equal ``X X^T`` of the stored rows.
+
+    Entries are compared to 1e-12 of the largest diagonal entry.  This is
+    the invariant that an isometric transport relies on when it keeps the
+    cache: rows moved by roundoff must not drift away from it.
+    """
+    m, nb = 2 * mem.size, geom.box.n
+    if not m:
+        return
+    rows = np.array([row for pair in zip(mem.S, mem.Y) for row in pair])  # s_0, y_0, s_1, ...
+    full = rows @ rows.T
+    tol = 1e-12 * np.max(np.diag(full))
+    assert np.max(np.abs(mem._gram[:m, :m] - full)) <= tol
+    assert np.max(np.abs(mem._gram_box[:m, :m] - rows[:, :nb] @ rows[:, :nb].T)) <= tol
+
+
 def sequence_geometry(kind, n, d):
     if kind == "sphere":
         return Geometry(BoxBounds.empty(), rb.Sphere(d))
@@ -378,7 +395,36 @@ def test_gram_cache_survives_operation_sequences(kind, capacity, ops, seed):
             assert np.max(np.abs(residual)) <= 1e-9
         else:
             assert middle.shape == (0, 0)
+        assert_gram_matches_rows(geom, mem)
         assert_masked_inverse_matches(geom, p, mem, rng, rng.random(geom.box.n) < 0.6)
+
+
+def test_isometric_transports_keep_the_gram_cache():
+    # Sphere transport is isometric, so the memory keeps its Gram matrix,
+    # theta and middle matrix across it.  Rows carried through a few hundred
+    # transports with no push, far longer than a pair lives in a solve, must
+    # still match the cache, and the kept middle matrix must still invert
+    # the block built from the moved rows.
+    rng = np.random.default_rng(3)
+    geom = Geometry(BoxBounds.empty(), rb.Sphere(6))
+    assert geom.manifold.isometric
+    p = geom.random_point(rng)
+    mem = LbfgsMemory(capacity=4)
+    while mem.size < 4:
+        s = geom.random_tangent(p, rng)
+        mem.push(geom, p, s, s + 0.3 * geom.random_tangent(p, rng))
+    theta, middle = mem.theta, mem.middle_matrix()
+    for _ in range(300):
+        step = geom.random_tangent(p, rng)
+        step = geom.unpack(step.data * (rng.uniform(0.1, 3.0) / geom.norm(p, step)))
+        q = geom.retract(p, step)
+        assert mem.transport(geom, p, step, geom.random_tangent(p, rng), q) == 0
+        p = q
+        assert_gram_matches_rows(geom, mem)
+    assert mem.size == 4 and mem.theta == theta
+    np.testing.assert_array_equal(mem.middle_matrix(), middle)
+    residual = middle @ block_from_pairs(mem) - np.eye(2 * mem.size)
+    assert np.max(np.abs(residual)) <= 1e-9
 
 
 def spd_map(geom, p, rng):

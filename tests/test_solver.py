@@ -197,6 +197,14 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(prob, ProductPoint([2.0]))
 
+    @pytest.mark.parametrize("field", ["pg_tolerance", "cost_change_factor"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_positive(self, field, value):
+        # nan <= 0 is False, so a sign test alone would admit NaN; a NaN
+        # tolerance never stops a solve and an infinite one stops it at once
+        with pytest.raises(ValueError):
+            SolverOptions(**{field: value})
+
     def test_nonfinite_cost_rejected(self):
         prob = box_problem([-1.0], [1.0], lambda x: np.inf, lambda x: [0.0])
         with pytest.raises(ValueError):
