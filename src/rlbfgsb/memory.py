@@ -25,11 +25,18 @@ are ``X v`` (:meth:`~LbfgsMemory.coefficients`), those of the basis vector
 :meth:`~LbfgsMemory.bilinear` evaluates ``a^T M b``, and an empty memory
 maps everything to the empty vector.
 
-``B`` has ``gamma = 1 / theta`` and a kernel ``K`` built from
-``R = triu(S Y^T)``, ``D`` and ``Y Y^T``; it is the exact inverse of the
-Hessian form, which the test-suite checks against dense oracles.  On a face
-with box coordinates masked out it is the exact inverse of ``H`` restricted
-to the face, one solve of a ``2 mu x 2 mu`` system: one model on every face.
+``B`` has ``gamma = 1 / theta`` and a kernel ``K`` made of ``R^{-1}``,
+``D`` and ``Y Y^T`` with ``R = triu(S Y^T)``; it is the exact inverse of the
+Hessian form, which the test-suite checks against dense oracles.  ``K`` is
+never assembled: a free face applies it as a few small products with a
+cached ``R^{-1}``.  :meth:`~LbfgsMemory.push` borders that cache with the new
+pair's column (column-by-column triangular inversion), an eviction keeps its
+trailing block (the inverse of the trailing block of ``R``), ``reset``
+empties it, and a transport that recomputes the Gram matrix (one that is not
+an isometry) marks it stale, so the next free face rebuilds it with one
+inversion.  On a face with box coordinates masked out ``B`` is the exact
+inverse of ``H`` restricted to the face, one solve of a ``2 mu x 2 mu``
+system: one model on every face.
 
 Every inner product between stored rows is read from a cached Gram matrix
 ``X X^T``.  Its part over the box columns is cached too, because transport,
@@ -119,6 +126,11 @@ class LbfgsMemory:
         self._strict_lower = np.tri(self.capacity, k=-1, dtype=bool)
         self._upper = ~self._strict_lower
         self._stale = True  # pairs or theta changed since _middle was built
+        # R^{-1} for R = triu(S Y^T); the leading _size rows and columns are
+        # live, the next row and column take a candidate pair.  Its strictly
+        # lower part stays zero: every store keeps the block triangular.
+        self._r_inv = np.zeros((self.capacity + 1, self.capacity + 1))
+        self._r_inv_stale = False  # the Gram matrix changed since _r_inv was built
 
     @property
     def size(self) -> int:
@@ -168,6 +180,7 @@ class LbfgsMemory:
         self._size = 0
         self.theta = 1.0
         self._stale = True
+        self._r_inv_stale = False  # an empty R^{-1} is current
 
     # ------------------------------------------------------------------
     # Updates
@@ -196,7 +209,10 @@ class LbfgsMemory:
         row and column are formed there, so its curvature is read off the
         Gram matrix.  On acceptance the oldest pair is evicted if the memory
         is full, the scaling becomes ``<y, y> / <s, y>`` of the new pair, and
-        the middle matrix is marked stale; the next read rebuilds it.
+        the middle matrix is marked stale; the next read rebuilds it.  A
+        current ``R^{-1}`` gains the new column ``-R^{-1} r / rho`` over the
+        diagonal entry ``1 / rho``, with ``r = [<s_i, y>]`` from the new Gram
+        column and ``rho = <s, y>``; a stale one stays stale.
         """
         self._fit(geom, s.data.size)
         m, slot = 2 * self._size, self._start + self._size
@@ -212,6 +228,11 @@ class LbfgsMemory:
         sy, yy = col[1, m, 1], col[1, m + 1, 1]
         if not self._passes_curvature(sy, yy):
             return False
+        if not self._r_inv_stale:
+            mu, inv_sy = self._size, 1.0 / float(sy)
+            r_inv = self._r_inv
+            r_inv[:mu, mu] = (r_inv[:mu, :mu] @ col[1, 0:m:2, 1]) * -inv_sy
+            r_inv[mu, mu] = inv_sy
         self._size += 1
         if self._size > self.capacity:
             self._evict()
@@ -225,6 +246,9 @@ class LbfgsMemory:
         self._size -= 1
         k = 2 * self._size
         self._grams[:, :k, :k] = self._grams[:, 2 : k + 2, 2 : k + 2]
+        if not self._r_inv_stale:
+            n = self._size
+            self._r_inv[:n, :n] = self._r_inv[1 : n + 1, 1 : n + 1]
         if self._start + self._size == self._rows.shape[0]:
             self._rows[: self._size] = self._rows[self._start :]
             self._start = 0
@@ -249,8 +273,8 @@ class LbfgsMemory:
         middle matrix are kept as they are and nothing is dropped.
         Otherwise the manifold part of the Gram matrix is recomputed, pairs
         whose curvature the transport destroys are discarded, the scaling is
-        reset from the newest survivor, and the middle matrix is marked
-        stale; the next read rebuilds it.
+        reset from the newest survivor, and the middle matrix and ``R^{-1}``
+        are marked stale; the next read of each rebuilds it.
         """
         self._fit(geom, step.data.size)
         n, lo = self._size, self._start
@@ -270,7 +294,7 @@ class LbfgsMemory:
             idx = (2 * keep[:, None] + np.arange(2)).ravel()  # the rows s_i, y_i of X
             self._grams[:, : idx.size, : idx.size] = self._grams[:, idx[:, None], idx]
         self._size = keep.size
-        self._stale = True
+        self._stale = self._r_inv_stale = True
         return dropped
 
     # ------------------------------------------------------------------
@@ -381,20 +405,26 @@ class LbfgsMemory:
         with ``R = triu(S Y^T)``, the s-s block of ``K`` is
         ``R^{-T} (D + gamma Y Y^T) R^{-1}``, the s-y block ``-gamma R^{-T}``,
         its transpose the y-s block, and the y-y block zero (Byrd, Nocedal
-        and Schnabel, 1994, Theorem 2.2).  With ``free_mask`` (a boolean
-        vector over the box coordinates, True for free ones) masking some
-        out, ``B`` is the exact inverse of ``Z^T H Z``, the Hessian form on
-        the face of the free coordinates and the manifold part, and the
-        masked-out components of ``x`` and of the result are zero.  By
-        Woodbury, ``B q = (q + X_F^T (theta N - F)^{-1} X q) / theta`` with
+        and Schnabel, 1994, Theorem 2.2).  ``K`` is not formed: with
+        ``w = X q`` and ``u = R^{-1} w_s``, the coefficients ``K w`` are
+        ``R^{-T} (D u + gamma Y Y^T u - gamma w_y)`` on the s rows and
+        ``-gamma u`` on the y rows, read with the cached ``R^{-1}`` (see
+        :meth:`push`), so no free face factors anything unless a transport
+        has marked that cache stale; then it is rebuilt by one inversion.
+        With ``free_mask`` (a boolean vector over the box coordinates, True
+        for free ones) masking some out, ``B`` is the exact inverse of
+        ``Z^T H Z``, the Hessian form on the face of the free coordinates and
+        the manifold part, and the masked-out components of ``x`` and of the
+        result are zero.  By Woodbury,
+        ``B q = (q + X_F^T (theta N - F)^{-1} X q) / theta`` with
         ``N = M^{-1}`` and the face Gram matrix ``F = X_F X_F^T``; the system
         is read off the cached Gram matrix: y-y block ``-theta D - Y Y^T``,
         s-y block ``-R`` and s-s block ``S_A S_A^T`` over the active columns
         (Byrd, Lu, Nocedal and Zhu, 1995, section 5).  ``Z^T H Z`` is positive
         definite whenever ``H`` is, so the result descends on the face when
-        ``x`` is the projected negative gradient; a singular or non-finite
-        system raises :class:`SingularMiddleMatrix`.  The result wraps a new
-        vector.
+        ``x`` is the projected negative gradient.  On either face a singular
+        system or a non-finite result raises :class:`SingularMiddleMatrix`.
+        The result wraps a new vector.
         """
         q = x.data
         free = free_mask is None or free_mask.all()
@@ -407,15 +437,22 @@ class LbfgsMemory:
         rows, mu = self._live, self._size
         gram = self._gram[: 2 * mu, : 2 * mu]
         sy, yy = gram[0::2, 1::2], gram[1::2, 1::2]
-        upper = np.where(self._upper[:mu, :mu], sy, 0.0)
         if free:
             gamma = float(sy[-1, -1] / yy[-1, -1])
-            r_inv = np.linalg.inv(upper)
-            kernel = np.zeros_like(gram)
-            kernel[0::2, 0::2] = r_inv.T @ (np.diag(sy.diagonal()) + gamma * yy) @ r_inv
-            kernel[0::2, 1::2] = -gamma * r_inv.T
-            kernel[1::2, 0::2] = -gamma * r_inv
-            return geom.unpack(gamma * q + (kernel @ (rows @ q)) @ rows)
+            if self._r_inv_stale:
+                self._r_inv[:mu, :mu] = np.linalg.inv(np.where(self._upper[:mu, :mu], sy, 0.0))
+                self._r_inv_stale = False
+            r_inv = self._r_inv[:mu, :mu]
+            w = rows @ q
+            u = r_inv @ w[0::2]
+            c = np.empty(2 * mu)
+            c[0::2] = (sy.diagonal() * u + gamma * (yy @ u) - gamma * w[1::2]) @ r_inv
+            c[1::2] = -gamma * u
+            r = gamma * q + c @ rows
+            if not np.isfinite(r).all():
+                raise SingularMiddleMatrix("free-face inverse is not finite; memory must be reset")
+            return geom.unpack(r)
+        upper = np.where(self._upper[:mu, :mu], sy, 0.0)
         cols = rows[:, active]
         system = cols @ cols.T
         system[0::2, 1::2] -= upper

@@ -411,6 +411,21 @@ class TestApplyInverse:
             assert np.all(out.euclidean[~mask] == 0.0)
             assert float(v.euclidean @ out.euclidean) > 0.0
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_subnormal_curvature_raises_on_both_faces(self):
+        # <s, y> = 1e-320 is subnormal and positive, so the pair passes the
+        # curvature test, but 1 / <s, y> overflows: neither face can apply
+        # the inverse, and both say so instead of returning NaN.
+        geom = flat_geom(2)
+        p = ProductPoint(np.zeros(2))
+        mem = LbfgsMemory(capacity=3)
+        s = ProductTangent(np.array([1e-160, 0.0]))
+        assert mem.push(geom, p, s, s)
+        x = ProductTangent(np.array([1.0, 1.0]))
+        for mask in (None, np.array([True, False])):
+            with pytest.raises(rb.SingularMiddleMatrix):
+                mem.apply_inverse(geom, p, x, free_mask=mask)
+
     def test_face_restriction_all_free_matches_full(self, rng):
         geom = flat_geom(4)
         p = ProductPoint(np.zeros(4))

@@ -121,22 +121,24 @@ def free_face_formula_inverse(mem, x):
 
 @SETTINGS
 @given(cases(), st.sampled_from(["none", "all free", "drawn"]))
-def test_inverse_matches_face_formula_bitwise(case, which):
-    # A free face reads the cached Gram matrix as it is, with the same bits
-    # as the Byrd-Nocedal-Schnabel formula; a masked face solves the reduced
-    # system, which matches the dense solve on the face to roundoff.
+def test_inverse_matches_face_formula(case, which):
+    # Every face matches the dense inverse on the face to roundoff.  A free
+    # face applies the Byrd-Nocedal-Schnabel kernel through the cached
+    # R^{-1} without assembling it, so it also matches the formula with the
+    # assembled kernel to a relative bound; a masked face solves the reduced
+    # system.
     geom, p, mem, rng, mask = case
     free_mask = {"none": None, "all free": np.ones_like(mask), "drawn": mask}[which]
+    face = np.ones_like(mask) if free_mask is None else free_mask
     x = geom.random_tangent(p, rng)
     got = mem.apply_inverse(geom, p, x, free_mask=free_mask).data
-    if free_mask is not None and not free_mask.all():
-        binv = dense_reduced_inverse(mem, weight(geom, free_mask) > 0.0)
-        v = weight(geom, free_mask) * x.data
-        tol = 1e-9 * (1.0 + np.linalg.norm(binv, 2) * np.linalg.norm(v))
-        assert np.linalg.norm(got - binv @ v) <= tol
-        return
-    want = free_face_formula_inverse(mem, x.data)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    binv = dense_reduced_inverse(mem, weight(geom, face) > 0.0)
+    v = weight(geom, face) * x.data
+    tol = 1e-9 * (1.0 + np.linalg.norm(binv, 2) * np.linalg.norm(v))
+    assert np.linalg.norm(got - binv @ v) <= tol
+    if face.all():
+        want = free_face_formula_inverse(mem, x.data)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @SETTINGS
@@ -333,6 +335,26 @@ def assert_gram_matches_rows(geom, mem):
     assert np.max(np.abs(mem._gram_box[:m, :m] - rows[:, :nb] @ rows[:, :nb].T)) <= tol
 
 
+def assert_r_inv_inverts_r(mem):
+    """A current cached ``R^{-1}`` inverts ``R = triu(S Y^T)`` of the cached Gram matrix.
+
+    The residual ``R^{-1} R - I`` must stay within 1e-9, plus 1e-13 of the
+    largest entry of ``|R^{-1}| |R|``, the scale of the roundoff of any
+    triangular inversion, which near-threshold pairs make large.  Bordering
+    on every push and slicing on every eviction must not drift away from
+    the inverse; a stale cache is rebuilt by its next read.  The Gram
+    matrix is held to the stored rows by :func:`assert_gram_matches_rows`.
+    """
+    if mem._r_inv_stale or not mem.size:
+        return
+    m = 2 * mem.size
+    r = np.triu(mem._gram[0:m:2, 1:m:2])
+    r_inv = mem._r_inv[: mem.size, : mem.size]
+    assert np.all(np.tril(r_inv, -1) == 0.0)
+    tol = 1e-9 + 1e-13 * np.max(np.abs(r_inv) @ np.abs(r))
+    assert np.max(np.abs(r_inv @ r - np.eye(mem.size))) <= tol
+
+
 def sequence_geometry(kind, n, d):
     if kind == "sphere":
         return Geometry(BoxBounds.empty(), rb.Sphere(d))
@@ -355,13 +377,15 @@ OPERATIONS = ["accept"] * 3 + ["near"] * 3 + ["transport"] * 3 + ["reject", "res
 def test_gram_cache_survives_operation_sequences(kind, capacity, ops, seed):
     # Pushes that evict past capacity wrap the row window, transports drop
     # near-threshold pairs, and a width change starts over; after every
-    # operation the cached Gram blocks must still describe the stored rows.
-    rng = np.random.default_rng(seed)
+    # operation the cached Gram blocks must still describe the stored rows,
+    # and a current R^{-1} must invert R.  Every other operation reads the
+    # free face, which rebuilds a stale R^{-1}, so pushes meet both states.
+    rng, check_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
     n, d = 3, 4
     geom = sequence_geometry(kind, n, d)
     p = geom.random_point(rng)
     mem = LbfgsMemory(capacity, curvature_eps=1e-3)
-    for op in ops:
+    for k, op in enumerate(ops):
         if op == "widen":
             n, d = n + 1, d + 1
             geom = sequence_geometry(kind, n, d)
@@ -396,7 +420,11 @@ def test_gram_cache_survives_operation_sequences(kind, capacity, ops, seed):
         else:
             assert middle.shape == (0, 0)
         assert_gram_matches_rows(geom, mem)
+        assert_r_inv_inverts_r(mem)
         assert_masked_inverse_matches(geom, p, mem, rng, rng.random(geom.box.n) < 0.6)
+        if k % 2:
+            assert_masked_inverse_matches(geom, p, mem, check_rng, np.ones(geom.box.n, bool))
+            assert_r_inv_inverts_r(mem)
 
 
 def test_isometric_transports_keep_the_gram_cache():
@@ -425,6 +453,28 @@ def test_isometric_transports_keep_the_gram_cache():
     np.testing.assert_array_equal(mem.middle_matrix(), middle)
     residual = middle @ block_from_pairs(mem) - np.eye(2 * mem.size)
     assert np.max(np.abs(residual)) <= 1e-9
+
+
+def test_long_sphere_sequence_keeps_r_inv():
+    # Sphere transport is isometric, so R^{-1} is only ever bordered by a
+    # push and sliced by an eviction, never rebuilt.  A few hundred pushes
+    # at capacity 3, each after a transport, show that neither drifts.
+    rng = np.random.default_rng(5)
+    geom = Geometry(BoxBounds.empty(), rb.Sphere(8))
+    p = geom.random_point(rng)
+    mem = LbfgsMemory(capacity=3)
+    for _ in range(300):
+        s, r = geom.random_tangent(p, rng), geom.random_tangent(p, rng)
+        assert mem.push(geom, p, s, s + 0.3 * (geom.norm(p, s) / geom.norm(p, r)) * r)
+        assert not mem._r_inv_stale
+        assert_r_inv_inverts_r(mem)
+        step = geom.unpack(s.data * (rng.uniform(0.1, 3.0) / geom.norm(p, s)))
+        q = geom.retract(p, step)
+        assert mem.transport(geom, p, step, geom.random_tangent(p, rng), q) == 0
+        p = q
+        assert_r_inv_inverts_r(mem)
+    assert mem.size == 3 and not mem._r_inv_stale
+    assert_masked_inverse_matches(geom, p, mem, rng, np.ones(0, bool))
 
 
 def spd_map(geom, p, rng):

@@ -585,6 +585,34 @@ class TestResetPaths:
         np.testing.assert_array_equal(state.grad.data, grad.data)
         assert (state.cost, state.iteration, state.memory.size) == (cost, iteration, 0)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_subnormal_curvature_pair_resets_and_continues(self, monkeypatch):
+        # The first step moves x0 from 1e-160 to 0 and x1 from 0 to 1 along
+        # a constant gradient, so its pair has <s, y> = <y, y> = 1e-320: it
+        # passes the curvature test, but the free face of the next step
+        # cannot apply it.  That face raises, the solver resets once, and
+        # steepest descent walks x1 to its bound.
+        prob = box_problem(
+            [-np.inf, 0.0], [np.inf, 10.0],
+            lambda x: 0.5 * x[0] ** 2 - x[1],
+            lambda x: [x[0], -1.0],
+        )
+        raised = []
+        real = LbfgsMemory.apply_inverse
+
+        def inverse(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except rb.SingularMiddleMatrix:
+                raised.append(args[0].size)
+                raise
+
+        monkeypatch.setattr(LbfgsMemory, "apply_inverse", inverse)
+        res = solve(prob, ProductPoint([1e-160, 0.0]), SolverOptions(pg_tolerance=1e-300))
+        assert raised == [1]
+        assert res.termination is Termination.PG_TOLERANCE
+        np.testing.assert_array_equal(res.point.euclidean, [0.0, 10.0])
+
 
 class TestCallCounts:
     def test_two_cone_projections_per_iteration(self, monkeypatch):
