@@ -14,28 +14,30 @@ breakpoints in time order and updating the segment slope ``f'`` and curvature
 stored rows ``X``, the initial ``f'' = <d, H[d]>`` takes ``X d`` and one
 product with ``M``, unless the caller passes ``H[d]``: ``q`` for ``d = B q``,
 with ``B`` the inverse of ``H`` on a face that holds ``d``, free or masked;
-then ``X d`` waits for the first crossing.  A crossing
-of coordinate ``b`` takes the column ``w_b = X[:, b]`` and one product
-``M w_b``; its three Hessian values are dot products with them.
-:class:`SegmentState` carries the coefficient vectors of the path point and
-of the moving direction.  The walk partitions off the next few smallest
-breakpoint times and sorts only those, doubling the chunk when it runs out,
-so its cost follows the breakpoints crossed rather than the box dimension.
+then ``X d`` waits for the first crossing.  A crossing of coordinate ``b``
+takes the column ``w_b = X[:, b]`` and one product ``M w_b``; its three
+Hessian values are dot products with them.  :class:`SegmentState` carries
+the coefficient vectors of the path point and of the moving direction.  The
+walk starts only when the minimizer passes the first breakpoint, found by
+one masked minimum; then it partitions off the next few smallest breakpoint
+times and sorts only those, doubling the chunk when it runs out, so its cost
+follows the breakpoints crossed rather than the box dimension.
 
 The search is capped by a sentinel breakpoint at the time
 ``max_stepsize / |d_M|`` at which the manifold part of the path reaches the
-manifold's maximum step length; without a box the walk is that sentinel
-alone.  The returned direction is ``t_* d`` with every coordinate whose
-bound was passed clamped to the exact bound offset.  It ends at or before
-the next bound it would cross, and its manifold part is no longer than the
-maximum step length, so the line search never needs a multiple of it
-above 1.
+manifold's maximum step length; a search that stops before the first box
+breakpoint, and every search without a box, never walks.  The returned
+direction is ``t_* d`` with every coordinate whose bound was passed clamped
+to the exact bound offset.  It ends at or before the next bound it would
+cross, and its manifold part is no longer than the maximum step length, so
+the line search never needs a multiple of it above 1.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -73,17 +75,12 @@ class BreakpointSet:
     ``times[i]`` is the positive time at which box coordinate ``i`` meets the
     bound it moves towards (``+inf`` for a zero direction component or an
     infinite facing bound; ``0`` for a component sitting on its bound and
-    moving into it).  ``candidates`` are the indices, ascending, of the
-    strictly positive finite times: the breakpoints :meth:`walk` visits,
-    together with one sentinel ``(t_manifold_max, -1)``.
+    moving into it).  :meth:`walk` visits the strictly positive finite
+    times, and one sentinel ``(t_manifold_max, -1)``; it finds them when run.
     """
 
     times: np.ndarray
     t_manifold_max: float
-    candidates: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.candidates = np.flatnonzero((self.times > 0.0) & (self.times < np.inf))
 
     def walk(self) -> Iterator[tuple[float, int]]:
         """Yield the breakpoints as ``(t, i)`` in ascending order.
@@ -95,7 +92,7 @@ class BreakpointSet:
         """
         sentinel = float(self.t_manifold_max)
         pending = True
-        idx = self.candidates
+        idx = ((self.times > 0.0) & (self.times < np.inf)).nonzero()[0]
         ct = self.times[idx]
         k = FIRST_CHUNK
         while ct.size:
@@ -197,12 +194,12 @@ def generalized_cauchy_direction(
     curvature is then ``<d, hd>``, not read from ``M``.
     """
     if t_manifold_max is None:
-        length = 0.0 if d.manifold is None else float(np.linalg.norm(d.manifold))
+        d_m = d.data[geom.box.n :]  # the raveled manifold part
+        length = math.sqrt(float(d_m @ d_m))
         t_manifold_max = geom.max_stepsize(p) / length if length > 0.0 else np.inf
     bounds = geom.box
     x, d_eu, g_eu = p.euclidean, d.euclidean, grad.euclidean
     bps = compute_breakpoints(bounds, x, d_eu, t_manifold_max) if bounds.n else None
-    walk = [(float(t_manifold_max), -1)] if bps is None else bps.walk()  # the sentinel alone
 
     f1 = geom.inner(p, grad, d)
     if hd is None:
@@ -214,9 +211,12 @@ def generalized_cauchy_direction(
         return GcdOutcome(geom.zero_tangent(p), GcdStatus.NOT_FOUND)
     dt_min = -f1 / f2
 
-    t_old = 0.0
-    # The walk always ends with the sentinel, so the loop leaves by a break
-    # with t the time of the last breakpoint walked.
+    first = np.inf if bps is None else float(bps.times.min(where=bps.times > 0.0, initial=np.inf))
+    t_old, t, walk = 0.0, min(float(t_manifold_max), first), ()
+    if dt_min > t and first < t_manifold_max:  # the minimizer passes a box breakpoint
+        walk = bps.walk()  # ends with the sentinel, so the loop below leaves by a break
+    elif dt_min > t:
+        dt_min = t  # the sentinel comes first: never search past it
     for t, b in walk:
         dt = t - t_old
         if not dt_min > dt:

@@ -17,9 +17,9 @@ Three concrete manifolds are provided:
   machinery (the QR retraction preserves the determinant-one component).
 
 The box factor is flat: retraction is translation and transport is the
-identity.  :meth:`Geometry.project_tangent_cone` zeroes tangent components
-that point out of the feasible box at active bounds, leaving the manifold
-part untouched.
+identity.  :meth:`Geometry.project_tangent_cone` zeroes the tangent
+components that point out of the box at active bounds
+(:meth:`Geometry.outward`), leaving the manifold part untouched.
 
 Every metric is the embedded Euclidean one, so a tangent is one flat array,
 :attr:`ProductTangent.data`: the box coordinates, then the raveled manifold
@@ -45,6 +45,9 @@ __all__ = [
     "SpecialOrthogonal",
     "Stiefel",
 ]
+
+
+_NO_INDEX = np.zeros(0, dtype=np.intp)
 
 
 class GeometryError(ValueError):
@@ -469,15 +472,29 @@ class Geometry:
             moved = self.manifold.transport(p.manifold, x.manifold, batch, target)
             part[...] = moved.reshape(part.shape)
 
+    def bound_faces(self, p: ProductPoint) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the box coordinates of ``p`` on their lower and on their upper bound."""
+        if not self.box.n:
+            return _NO_INDEX, _NO_INDEX
+        x = p.euclidean
+        return (x == self.box.lower).nonzero()[0], (x == self.box.upper).nonzero()[0]
+
+    @staticmethod
+    def outward(faces: tuple[np.ndarray, np.ndarray], x: ProductTangent) -> np.ndarray:
+        """Sorted indices, among the :meth:`bound_faces`, of box components of ``x`` leaving."""
+        lower, upper = faces
+        if not (lower.size or upper.size):
+            return lower
+        v = x.euclidean  # a fixed coordinate is on both faces, and leaves by at most one
+        out = np.concatenate((lower[v[lower] < 0.0], upper[v[upper] > 0.0]))
+        out.sort()
+        return out
+
     def project_tangent_cone(self, p: ProductPoint, x: ProductTangent) -> ProductTangent:
-        """Zero box components pointing out of the feasible set at active bounds."""
+        """Zero the box components pointing out of the box at active bounds (:meth:`outward`)."""
         self._check(p, x)
         out = x.copy()
-        if self.box.n:
-            eu = out.euclidean
-            at_lower = (p.euclidean == self.box.lower) & (eu < 0)
-            at_upper = (p.euclidean == self.box.upper) & (eu > 0)
-            eu[at_lower | at_upper] = 0.0
+        out.euclidean[self.outward(self.bound_faces(p), x)] = 0.0
         return out
 
     def max_stepsize(self, p: ProductPoint | None = None) -> float:

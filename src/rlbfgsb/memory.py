@@ -392,12 +392,13 @@ class LbfgsMemory:
     # ------------------------------------------------------------------
     # Inverse operator
 
+    @np.errstate(all="ignore")  # a non-finite result raises below
     def apply_inverse(
         self,
         geom: Geometry,
         p: ProductPoint,
         x: ProductTangent,
-        free_mask: np.ndarray | None = None,
+        active: np.ndarray | None = None,
     ) -> ProductTangent:
         """Apply ``B = H^{-1}`` to ``x`` in compact form.
 
@@ -411,11 +412,10 @@ class LbfgsMemory:
         ``-gamma u`` on the y rows, read with the cached ``R^{-1}`` (see
         :meth:`push`), so no free face factors anything unless a transport
         has marked that cache stale; then it is rebuilt by one inversion.
-        With ``free_mask`` (a boolean vector over the box coordinates, True
-        for free ones) masking some out, ``B`` is the exact inverse of
-        ``Z^T H Z``, the Hessian form on the face of the free coordinates and
-        the manifold part, and the masked-out components of ``x`` and of the
-        result are zero.  By Woodbury,
+        With ``active``, sorted indices of box coordinates, masking some out,
+        ``B`` is the exact inverse of ``Z^T H Z``, the Hessian form on the
+        face of the others and the manifold part, and the masked-out
+        components of ``x`` and of the result are zero.  By Woodbury,
         ``B q = (q + X_F^T (theta N - F)^{-1} X q) / theta`` with
         ``N = M^{-1}`` and the face Gram matrix ``F = X_F X_F^T``; the system
         is read off the cached Gram matrix: y-y block ``-theta D - Y Y^T``,
@@ -423,13 +423,12 @@ class LbfgsMemory:
         (Byrd, Lu, Nocedal and Zhu, 1995, section 5).  ``Z^T H Z`` is positive
         definite whenever ``H`` is, so the result descends on the face when
         ``x`` is the projected negative gradient.  On either face a singular
-        system or a non-finite result raises :class:`SingularMiddleMatrix`.
-        The result wraps a new vector.
+        system or a non-finite result raises :class:`SingularMiddleMatrix`,
+        and no warning.  The result wraps a new vector.
         """
         q = x.data
-        free = free_mask is None or free_mask.all()
+        free = active is None or not len(active)
         if not free:
-            active = np.flatnonzero(~free_mask)
             q = q.copy()
             q[active] = 0.0
         if not self._size:

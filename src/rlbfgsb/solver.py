@@ -7,14 +7,14 @@ Armijo step, at the point the line search retracted to; one batched
 transport carries the memory, step and old gradient there, and the new
 update pair is admitted.
 
-The state keeps the projected steepest-descent direction of its iterate,
-the tangent-cone projection of the negative gradient: the quasi-Newton
-direction starts from it, its norm is the stationarity measure, and it is
-the fallback direction.  A missing Cauchy direction, a singular face system
-of the inverse operator, a singular middle matrix met by the Cauchy search
-(the only reader of that matrix) or a failed line search discards the
-curvature memory and retries the iteration once along that fallback before
-giving up.
+The state keeps its iterate's bound faces, found once and read by every
+phase of the step, and the projected steepest-descent direction: the
+quasi-Newton direction starts from it, its norm is the stationarity measure,
+and it is the fallback direction.  A missing Cauchy direction, a singular
+face system of the inverse operator, a singular middle matrix met by the
+Cauchy search (the only reader of that matrix) or a failed line search
+discards the curvature memory and retries the iteration once along that
+fallback before giving up.
 """
 
 from __future__ import annotations
@@ -82,14 +82,25 @@ class SolverResult:
 
 @dataclass
 class SolverState:
-    """The current iterate; ``steepest`` is the cone projection of ``-grad`` there."""
+    """The current iterate, with the bound faces and directions that :meth:`locate` sets."""
 
     point: ProductPoint
     grad: ProductTangent
-    steepest: ProductTangent
     cost: float
     memory: LbfgsMemory
     iteration: int = 0
+    faces: tuple[np.ndarray, np.ndarray] | None = None
+    active: np.ndarray | None = None
+    steepest: ProductTangent | None = None
+
+    def locate(self, geom: Geometry) -> "SolverState":
+        """Set ``faces``, the sorted ``active`` ones where ``-grad`` leaves, and ``steepest``."""
+        self.faces = geom.bound_faces(self.point)
+        self.steepest = -self.grad
+        self.active = geom.outward(self.faces, self.steepest)
+        if self.active.size:
+            self.steepest.euclidean[self.active] = 0.0
+        return self
 
 
 @dataclass
@@ -125,37 +136,32 @@ def init_state(problem: Problem, p0: ProductPoint, options: SolverOptions) -> So
     grad = problem.gradient(p0)
     if not np.isfinite(grad.data).all():
         raise ValueError("gradient at the initial point is not finite")
-    memory = LbfgsMemory(options.memory_capacity)
-    steepest = geom.project_tangent_cone(p0, -grad)
-    return SolverState(p0.copy(), grad, steepest, cost, memory)
+    return SolverState(p0.copy(), grad, cost, LbfgsMemory(options.memory_capacity)).locate(geom)
 
 
 def _cauchy_direction(state: SolverState, geom: Geometry, reset: bool):
     """Projected search direction and its Cauchy outcome.
 
-    The quasi-Newton direction applies the inverse operator to the projected
-    negative gradient within the tangent space of the active boundary face
-    (see :meth:`LbfgsMemory.apply_inverse`); applied to the raw gradient
-    instead, the operator couples the large gradient components of the
-    active bounds into the free coordinates and routinely emits ascent
-    directions near bound-active optima.  With ``reset`` (the memory has
-    just been reset) the projected negative gradient ``q`` is used directly.
-    The search is handed ``q`` as ``H[d]``: after a reset, and whenever the
-    cone projection keeps ``d = B q``.  On a masked face ``H[d]`` equals ``q``
-    on the face only, and ``d`` is zero off it, so ``<d, H[d]> = <d, q>``.
-    A singular face system raises :class:`SingularMiddleMatrix`, as a
-    singular middle matrix does in the search.
+    The quasi-Newton direction ``d = B q`` applies the inverse operator to
+    the projected negative gradient ``q`` on the face without the active set
+    (see :meth:`LbfgsMemory.apply_inverse`); applied to the raw gradient, the
+    operator couples the large gradient components of the active bounds into
+    the free coordinates and routinely emits ascent directions near
+    bound-active optima.  ``d`` is projected onto the tangent cone in place,
+    on the state's faces.  With ``reset`` ``q`` is used directly.  The search
+    is handed ``q`` as ``H[d]`` after a reset and whenever the projection
+    zeroes nothing: on a masked face ``H[d]`` equals ``q`` on the face, and
+    ``d`` is zero off it.  A singular face system raises
+    :class:`SingularMiddleMatrix`, as a singular middle matrix does in the search.
     """
     p, d = state.point, state.steepest
     hd = d  # H = I while the memory is empty
     if not reset:
-        # The projection zeroes exactly the active components, which are
-        # nonzero in the finite -g, and leaves every free one as it was.
-        free = d.euclidean == -state.grad.euclidean
-        face = None if free.all() else free
-        bq = state.memory.apply_inverse(geom, p, d, free_mask=face)
-        d = geom.project_tangent_cone(p, bq)
-        hd = hd if (d.euclidean == bq.euclidean).all() else None
+        d = state.memory.apply_inverse(geom, p, d, active=state.active)
+        out = geom.outward(state.faces, d)
+        if out.size:
+            d.euclidean[out] = 0.0
+            hd = None
     return generalized_cauchy_direction(geom, p, state.grad, d, state.memory, hd=hd)
 
 
@@ -166,8 +172,8 @@ def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepRe
     when no descent direction is left even after a memory reset (the
     projected gradient vanishes), when the line search fails for good, or
     when the accepted cost or gradient is not finite.  Otherwise the state
-    holds the accepted point with its gradient, projected steepest-descent
-    direction and cost, and the moved memory.
+    holds the accepted point with its gradient, bound faces, projected
+    steepest-descent direction and cost, and the moved memory.
     """
     geom = problem.geometry
     report = StepReport()
@@ -208,10 +214,8 @@ def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepRe
     s, y = make_pair(geom, state.memory, grad_new)
     report.pair_rejected = not state.memory.push(geom, p_new, s, y)
 
-    state.point = p_new
-    state.grad = grad_new
-    state.steepest = geom.project_tangent_cone(p_new, -grad_new)
-    state.cost = f_new
+    state.point, state.grad, state.cost = p_new, grad_new, f_new
+    state.locate(geom)
     state.iteration += 1
 
     report.alpha = alpha

@@ -27,10 +27,14 @@ settings.load_profile("rlbfgsb")
 def dense_bfgs_matrix(mem: rb.LbfgsMemory, n: int, scalar=None) -> np.ndarray:
     """Direct BFGS matrix of the stored pairs, packed rows of width ``n``, from theta * I.
 
-    With ``scalar`` (``mpmath.mpf``, say) the entries are converted to it
-    and the recursion runs on an object array at that type's precision.
+    With ``scalar`` (``np.longdouble`` or ``mpmath.mpf``, say) the entries
+    are converted to it and the recursion runs at that type's precision, on
+    an object array unless it is a numpy floating type.
     """
-    conv = (lambda a: a) if scalar is None else np.vectorize(scalar, otypes=[object])
+    if scalar is None or np.issubdtype(scalar, np.floating):
+        conv = lambda a: np.asarray(a, dtype=scalar)  # noqa: E731
+    else:
+        conv = np.vectorize(scalar, otypes=[object])
     h = conv(mem.theta * np.eye(n))
     for pair in mem.pairs:
         s, y = conv(pair.s.data), conv(pair.y.data)
@@ -42,23 +46,28 @@ def dense_bfgs_matrix(mem: rb.LbfgsMemory, n: int, scalar=None) -> np.ndarray:
 def dense_reduced_inverse(mem: rb.LbfgsMemory, face: np.ndarray) -> np.ndarray:
     """``H[F, F]^{-1}`` in the packed width, zero off the face ``F`` (a boolean mask).
 
-    ``H`` is :func:`dense_bfgs_matrix`.  Its float64 recursion adds terms
-    up to ``scale = theta + sum <y, y> / <s, y>`` large, so its entries are
-    accurate to about ``eps * scale``, and their inverse to about
-    ``eps * cond(H[F, F]) * scale / |H[F, F]|``.  Pairs near the curvature
-    threshold make both factors large; when their product exceeds 1e6 the
-    matrix and its inverse are formed again at 50 digits with mpmath, so the
-    oracle's own error stays far below the tolerances it is checked with.
+    ``H`` is :func:`dense_bfgs_matrix` in ``np.longdouble``: near the
+    curvature threshold its recursion cancels, and in float64 that error,
+    times ``cond(H[F, F])``, can reach the tolerances the oracle is checked
+    with.  The float64 inverse of ``H[F, F]`` rounded to float64 is kept
+    while its own residual ``H[F, F] X - I``, against the wide matrix, stays
+    within 1e-12.  Otherwise, and where ``longdouble`` is no wider than
+    float64, the matrix and its inverse are formed at 50 digits with mpmath.
     """
     idx = np.ix_(face, face)
     out = np.zeros((face.size, face.size))
-    h = dense_bfgs_matrix(mem, face.size)[idx]
-    if not h.size:
+    if not face.any():
         return out
-    scale = mem.theta + sum(float(pr.y.data @ pr.y.data) / pr.sy for pr in mem.pairs)
-    if np.linalg.cond(h) * scale / np.linalg.norm(h, 2) <= 1e6:
-        out[idx] = np.linalg.inv(h)
-        return out
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        wide = dense_bfgs_matrix(mem, face.size, np.longdouble)[idx]
+        try:
+            inv = np.linalg.inv(wide.astype(float))
+        except np.linalg.LinAlgError:  # singular in float64
+            pass
+        else:
+            if np.max(np.abs(wide @ inv - np.eye(len(inv)))) <= 1e-12:
+                out[idx] = inv
+                return out
     with mpmath.workdps(50):
         h = dense_bfgs_matrix(mem, face.size, mpmath.mpf)[idx]
         out[idx] = np.array(mpmath.inverse(mpmath.matrix(h.tolist())).tolist(), dtype=float)

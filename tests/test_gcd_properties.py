@@ -11,16 +11,24 @@ The breakpoint times and the final clamp into the box are computed with
 in-place operations and over the passed or overshooting coordinates only;
 they must give the same bits as the plain full-width expressions, kept
 below as oracles.
+
+The search walks only when its minimizer passes the first breakpoint ahead
+of the sentinel; it must return the bits of a search that always walks.
 """
 
 from bisect import bisect_left
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from rlbfgsb import BoxBounds
-from rlbfgsb.gcd import BreakpointSet, _clamp_into_box, compute_breakpoints
+import rlbfgsb as rb
+from rlbfgsb import BoxBounds, Geometry, GcdStatus, LbfgsMemory
+from rlbfgsb.gcd import (
+    BreakpointSet, _clamp_into_box, compute_breakpoints, generalized_cauchy_direction,
+    segment_values, surrogate_init,
+)
 
 NEVER_WALKED = [0.0, -0.0, np.inf, -np.inf, np.nan, -1.0]
 
@@ -168,3 +176,147 @@ def test_clamp_nudges_match_full_width_loops():
         _clamp_into_box(bounds, x, d, eu, (times < t).nonzero()[0])
         assert np.array_equal(bits(eu), bits(want))
     assert down >= 20 and up >= 20
+
+
+def walked_cauchy_direction(geom, p, grad, d, mem, t_max=None, hd=None):
+    """The search that always walks from the first breakpoint: the bitwise oracle.
+
+    Returns the direction, or None where the search finds none.
+    """
+    if t_max is None:
+        length = 0.0 if d.manifold is None else float(np.linalg.norm(d.manifold))
+        t_max = geom.max_stepsize(p) / length if length > 0.0 else np.inf
+    bounds = geom.box
+    x, d_eu, g_eu = p.euclidean, d.euclidean, grad.euclidean
+    bps = compute_breakpoints(bounds, x, d_eu, t_max) if bounds.n else None
+    walk = [(float(t_max), -1)] if bps is None else bps.walk()
+    f1 = geom.inner(p, grad, d)
+    if hd is None:
+        qs = surrogate_init(mem, geom, p, d)
+        f2 = mem.theta * float(d.data @ d.data) - mem.bilinear(qs.p, qs.p)
+    else:
+        qs, f2 = None, float(d.data @ hd.data)
+    if f1 == 0.0 or f2 == 0.0:
+        return None
+    dt_min, t_old = -f1 / f2, 0.0
+    for t, b in walk:
+        dt = t - t_old
+        if not dt_min > dt:
+            break
+        if b == -1:
+            dt_min = dt
+            break
+        if qs is None:
+            qs = surrogate_init(mem, geom, p, d)
+        d_b, g_b = float(d_eu[b]), float(g_eu[b])
+        v1, v2 = segment_values(qs, mem, t, dt, b, d_b)
+        f1 = f1 + dt * f2 - d_b * (g_b + v1)
+        f2 = f2 - 2.0 * d_b * v2 + d_b * d_b * qs.diag
+        t_old = t
+        if f1 == 0.0 or f2 == 0.0:
+            dt_min = 0.0
+            break
+        dt_min = -f1 / f2
+    t_star = t_old + max(0.0, dt_min)
+    if t_star <= 0.0:
+        return None
+    direction = t_star * d
+    if bps is not None:
+        _clamp_into_box(bounds, x, d_eu, direction.euclidean, (bps.times < t).nonzero()[0])
+    return direction
+
+
+# Where the first box breakpoint lies, in multiples of the unconstrained
+# minimizer -f'/f'' of the first segment.
+LANDINGS = {"before": 2.0, "at": 1.0, "after": 0.5}
+
+
+@st.composite
+def first_breakpoint_cases(draw):
+    """(geometry, point, gradient, direction, memory, H[d] or None, sentinel, landing).
+
+    The box coordinates start at 0; coordinate ``b`` reaches its facing
+    bound at exactly the landing's multiple of the minimizer, the others
+    later, never, or not at all (a zero direction component), some of them
+    sitting on the bound behind them.
+    """
+    n = draw(st.integers(1, 5))
+    geom = Geometry(BoxBounds.unbounded(n), draw(st.sampled_from([None, rb.Sphere(3)])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = geom.random_point(rng)
+    p.euclidean = np.zeros(n)
+    mem = LbfgsMemory(3)
+    for _ in range(draw(st.integers(0, 3))):
+        s = geom.random_tangent(p, rng)
+        mem.push(geom, p, s, s + 0.1 * geom.random_tangent(p, rng))
+    grad = geom.random_tangent(p, rng)
+    grad.euclidean[rng.random(n) < 0.2] = 0.0
+    hd = None
+    if draw(st.booleans()):  # d = B q, handed H[d] = q, as the solver does
+        hd = -1.0 * grad
+        d = mem.apply_inverse(geom, p, hd)
+    else:
+        d = -1.0 * grad
+    b = int(np.argmax(np.abs(d.euclidean)))
+    assume(d.euclidean[b] != 0.0)
+    f1 = float(grad.data @ d.data)
+    if hd is None:
+        w = mem.coefficients(d.data)
+        f2 = mem.theta * float(d.data @ d.data) - mem.bilinear(w, w)
+    else:
+        f2 = float(d.data @ hd.data)
+    assume(f1 < 0.0 < f2)
+    landing = draw(st.sampled_from(sorted(LANDINGS)))
+    first = LANDINGS[landing] * (-f1 / f2)
+    d_b = d.euclidean[b]
+    facing = first * d_b
+    for _ in range(8):  # an ulp or two, so that the time (bound - 0) / d_b is first exactly
+        t = facing / d_b
+        if t == first:
+            break
+        facing = np.nextafter(facing, np.inf if (t < first) == (d_b > 0) else -np.inf)
+    assume(facing / d_b == first)
+    lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+    for i in range(n):
+        side, back = (upper, lower) if d.euclidean[i] > 0 else (lower, upper)
+        later = draw(st.sampled_from([4.0, 8.0, np.inf]))
+        if i == b:
+            side[i] = facing
+        elif d.euclidean[i] != 0.0 and later < np.inf:
+            side[i] = later * first * d.euclidean[i]
+        back[i] = draw(st.sampled_from([0.0, back[i]]))  # on the bound behind, or none
+    geom = Geometry(BoxBounds(lower, upper), geom.manifold)
+    sentinel = draw(st.sampled_from(["default", "first", "tie", "last", "inf"]))
+    t_max = {"default": None, "first": 0.5 * first, "tie": first, "last": 4.0 * first,
+             "inf": np.inf}[sentinel]
+    return geom, p, grad, d, mem, hd, t_max, landing, sentinel
+
+
+@settings(max_examples=300)
+@given(first_breakpoint_cases())
+def test_search_walks_only_past_the_first_breakpoint(case):
+    # Landing before or at the first breakpoint, or behind the sentinel,
+    # the search never walks; either way it returns the bits of the search
+    # that always walks.
+    geom, p, grad, d, mem, hd, t_max, landing, sentinel = case
+    walks = []
+    walk = BreakpointSet.walk
+
+    def counted(self):
+        walks.append(1)
+        return walk(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BreakpointSet, "walk", counted)
+        out = generalized_cauchy_direction(geom, p, grad, d, mem, t_max, hd=hd)
+    want = walked_cauchy_direction(geom, p, grad, d, mem, t_max, hd=hd)
+    if want is None:
+        assert out.status is GcdStatus.NOT_FOUND
+        return
+    assert out.status is GcdStatus.FOUND
+    assert np.array_equal(bits(out.direction.data), bits(want.data))
+    event(f"{landing}, sentinel {sentinel}, walked {bool(walks)}")
+    if landing != "after" or sentinel in ("first", "tie"):
+        assert not walks
+    elif sentinel in ("last", "inf"):
+        assert walks == [1]

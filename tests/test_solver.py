@@ -585,13 +585,13 @@ class TestResetPaths:
         np.testing.assert_array_equal(state.grad.data, grad.data)
         assert (state.cost, state.iteration, state.memory.size) == (cost, iteration, 0)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_curvature_pair_resets_and_continues(self, monkeypatch):
         # The first step moves x0 from 1e-160 to 0 and x1 from 0 to 1 along
         # a constant gradient, so its pair has <s, y> = <y, y> = 1e-320: it
         # passes the curvature test, but the free face of the next step
-        # cannot apply it.  That face raises, the solver resets once, and
-        # steepest descent walks x1 to its bound.
+        # cannot apply it.  That face raises without a warning, the solver
+        # resets once, and steepest descent walks x1 to its bound.
         prob = box_problem(
             [-np.inf, 0.0], [np.inf, 10.0],
             lambda x: 0.5 * x[0] ** 2 - x[1],
@@ -615,19 +615,24 @@ class TestResetPaths:
 
 
 class TestCallCounts:
-    def test_two_cone_projections_per_iteration(self, monkeypatch):
-        # one for the quasi-Newton direction, one for the new iterate's -grad
-        projections, reports = [], []
+    def test_no_cone_projection_per_iteration(self, monkeypatch):
+        # The bound faces are found once per iterate, at the start point and
+        # at each accepted one, and every phase of the step reads them: no
+        # full-width cone projection runs in a solve.
+        projections, faces, reports = [], [], []
         spy(monkeypatch, Geometry, "project_tangent_cone", projections)
+        spy(monkeypatch, Geometry, "bound_faces", faces)
         spy(monkeypatch, rb.solver, "step", reports)
         bss = bss_problem(synth_bss(k=3, r=3, n=10, amplitude=1.0, seed=0, lam=0.1))
         for prob, p0 in ((bss, bss.initial_point), random_rayleigh(30, 0)):
             projections.clear()
+            faces.clear()
             reports.clear()
             res = solve(prob, p0)
             assert res.iterations >= 20
             assert sum(r.memory_resets for r in reports) == 0
-            assert len(projections) <= 2 * res.iterations + 1
+            assert projections == []
+            assert len(faces) == res.iterations + 1
 
     def test_box_suite_counts_pinned(self):
         # Changes to the algorithm that move these must update the pin and

@@ -10,6 +10,11 @@ the box violation is exactly 0, the manifold membership residual is at most
 line-search trial moves the manifold part farther than its maximum step
 length.  The first iterations are stepped against the dense reference
 iteration of ``conftest.dense_step``.
+
+The bound faces a state records once per iterate, and the projections the
+step makes from them, must give the bits of the full-width masks they
+replace, on fixed coordinates, infinite bounds, points exactly on a bound
+and signed zero gradient entries.
 """
 
 import copy
@@ -21,8 +26,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import rlbfgsb as rb
-from rlbfgsb import BoxBounds, Geometry, Problem, ProductTangent, SolverOptions, solve
-from rlbfgsb.solver import init_state, step
+from rlbfgsb import BoxBounds, Geometry, LbfgsMemory, Problem, ProductTangent, SolverOptions, solve
+from rlbfgsb.solver import SolverState, _cauchy_direction, init_state, step
 
 from conftest import dense_step
 
@@ -177,3 +182,91 @@ def test_steps_match_the_dense_reference_iteration(case):
                 assert_close(pr.y.data, y.data, floor)
             assert abs(state.memory.theta - theta) <= 1e-8 * theta
     event("a masked face stepped" if any(masked) else "free faces only")
+
+
+def full_width_projection(geom, p, v):
+    """``v`` with the components leaving the box at ``p`` zeroed by full-width masks, and those."""
+    out = v.copy()
+    eu, x = out.euclidean, p.euclidean
+    leaves = ((x == geom.box.lower) & (eu < 0)) | ((x == geom.box.upper) & (eu > 0))
+    eu[leaves] = 0.0
+    return out, np.flatnonzero(leaves)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def faces_cases(draw):
+    """(geometry, point, gradient, memory): fixed, one-sided and free coordinates, some on a bound.
+
+    Gradient entries include both signed zeros, so a projection that zeroes
+    a zero component, or keeps ``-0.0`` where the masks write ``0.0``,
+    changes the bits.
+    """
+    n = draw(st.integers(0, 6))
+    lower, upper, x = [], [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["fixed", "both", "lower", "upper", "free"]))
+        lo = {"fixed": 0.5, "both": -1.0, "lower": -1.0}.get(kind, -np.inf)
+        up = {"fixed": 0.5, "both": 1.0, "upper": 1.0}.get(kind, np.inf)
+        at = draw(st.sampled_from([lo, up, 0.5]))  # on a bound, or inside
+        x.append(at if np.isfinite(at) else 0.5)
+        lower.append(lo)
+        upper.append(up)
+    manifold = draw(st.sampled_from([None, rb.Sphere(3)])) if n else rb.Sphere(3)
+    geom = Geometry(BoxBounds(np.array(lower), np.array(upper)), manifold)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = geom.random_point(rng)
+    p.euclidean = np.array(x, dtype=float)
+    grad = geom.random_tangent(p, rng)
+    for i in range(n):
+        grad.euclidean[i] = draw(st.sampled_from([0.0, -0.0, 1.5, -1.5, float(grad.euclidean[i])]))
+    mem = LbfgsMemory(3)
+    for _ in range(draw(st.integers(0, 3))):
+        s = geom.random_tangent(p, rng)
+        mem.push(geom, p, s, s + 0.1 * geom.random_tangent(p, rng))
+    return geom, p, grad, mem
+
+
+@settings(max_examples=300)
+@given(faces_cases())
+def test_faces_give_the_bits_of_the_full_width_projections(case):
+    # The state's steepest direction and active set, and the cone
+    # projection of B q the step hands the Cauchy search, are those of the
+    # full-width masks, bit for bit; the search is handed H[d] = q exactly
+    # when that projection zeroes nothing.
+    geom, p, grad, mem = case
+    state = SolverState(p, grad, 0.0, mem).locate(geom)
+    want, active = full_width_projection(geom, p, -grad)
+    assert np.array_equal(bits(state.steepest.data), bits(want.data))
+    assert np.array_equal(bits(geom.project_tangent_cone(p, -grad).data), bits(want.data))
+    assert np.array_equal(state.active, active)  # sorted, as the face gather expects
+    lower, upper = state.faces
+    assert np.array_equal(lower, np.flatnonzero(p.euclidean == geom.box.lower))
+    assert np.array_equal(upper, np.flatnonzero(p.euclidean == geom.box.upper))
+
+    seen = []
+    search = rb.solver.generalized_cauchy_direction
+
+    def spy(geom, p, grad, d, mem, *rest, hd=None):
+        seen.append((d.copy(), hd))
+        return search(geom, p, grad, d, mem, *rest, hd=hd)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rb.solver, "generalized_cauchy_direction", spy)
+        try:
+            _cauchy_direction(state, geom, reset=False)
+        except rb.SingularMiddleMatrix:
+            pass
+    if not seen:  # the face system was singular
+        return
+    d, hd = seen[0]
+    bq = mem.apply_inverse(geom, p, state.steepest, active=active)
+    want, zeroed = full_width_projection(geom, p, bq)
+    assert np.array_equal(bits(d.data), bits(want.data))
+    assert np.array_equal(bits(geom.project_tangent_cone(p, bq).data), bits(want.data))
+    assert (hd is None) == (zeroed.size > 0)
+    assert hd is None or hd is state.steepest
+    event(f"active {active.size > 0}, B q projected {zeroed.size > 0}")
