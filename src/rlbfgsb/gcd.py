@@ -14,14 +14,15 @@ breakpoints in time order and updating the segment slope ``f'`` and curvature
 stored rows ``X``, the initial ``f'' = <d, H[d]>`` takes ``X d`` and one
 product with ``M``, unless the caller passes ``H[d]``: ``q`` for ``d = B q``,
 with ``B`` the inverse of ``H`` on a face that holds ``d``, free or masked;
-then ``X d`` waits for the first crossing.  A crossing of coordinate ``b``
-takes the column ``w_b = X[:, b]`` and one product ``M w_b``; its three
-Hessian values are dot products with them.  :class:`SegmentState` carries
-the coefficient vectors of the path point and of the moving direction.  The
-walk starts only when the minimizer passes the first breakpoint, found by
-one masked minimum; then it partitions off the next few smallest breakpoint
-times and sorts only those, doubling the chunk when it runs out, so its cost
-follows the breakpoints crossed rather than the box dimension.
+then ``X d`` waits for the first crossing, and the caller may hand it over
+too.  A crossing of coordinate ``b`` takes the column ``w_b = X[:, b]`` and
+one product ``M w_b``; its three Hessian values are dot products with them.
+:class:`SegmentState` carries the coefficient vectors of the path point and
+of the moving direction, and ``X`` and ``M``.  The walk starts only when the
+minimizer passes the first breakpoint, the plain minimum of the times; then
+it partitions off the next few smallest breakpoint times and sorts only
+those, doubling the chunk when it runs out, so its cost follows the
+breakpoints crossed rather than the box dimension.
 
 The search is capped by a sentinel breakpoint at the time
 ``max_stepsize / |d_M|`` at which the manifold part of the path reaches the
@@ -30,7 +31,8 @@ breakpoint, and every search without a box, never walks.  The returned
 direction is ``t_* d`` with every coordinate whose bound was passed clamped
 to the exact bound offset.  It ends at or before the next bound it would
 cross, and its manifold part is no longer than the maximum step length, so
-the line search never needs a multiple of it above 1.
+the line search never needs a multiple of it above 1.  Only the coordinates
+walked past and those with times just above ``t_*`` can leave the box.
 """
 
 from __future__ import annotations
@@ -66,6 +68,10 @@ class GcdOutcome:
 
 # Breakpoints sorted by the first chunk of the walk; later chunks double it.
 FIRST_CHUNK = 16
+# fl(t_* d_i) passes the bound b_i only above the exact b_i - x_i, which needs
+# t_i < t_* (1 + 3 eps): the nudge reaches the times up to t_* (1 + NUDGE_BAND).
+NUDGE_BAND = 1e-12
+MAX_NUDGES = 64  # one-ulp passes before the clamp gives up; the test suite needs 2
 
 
 @dataclass
@@ -116,42 +122,44 @@ class BreakpointSet:
 def compute_breakpoints(
     bounds: BoxBounds, p_d: np.ndarray, d_d: np.ndarray, t_manifold_max: float = np.inf
 ) -> BreakpointSet:
-    """Travel times to the facing bounds, with the walk's candidate set.
+    """Travel times to the facing bounds: the larger quotient for a feasible ``p_d``.
 
+    For ``d_d = ±0.0`` both are infinite or NaN, which ``fmin`` maps to ``inf``.
     Zero-time entries (a coordinate exactly on its bound moving outward) are
-    never walked; callers avoid them entirely by projecting ``d`` onto the
-    tangent cone first.
+    never walked; callers avoid them by projecting ``d`` onto the tangent cone.
     """
-    times = np.where(d_d < 0, bounds.lower, bounds.upper)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        times -= p_d
+        times, back = np.subtract(bounds.upper, p_d), np.subtract(bounds.lower, p_d)
         times /= d_d
-    times[d_d == 0] = np.inf
+        back /= d_d
+        np.fmin(np.maximum(times, back, out=times), np.inf, out=times)
     times += 0.0  # normalize -0.0
     return BreakpointSet(times, t_manifold_max)
 
 
 @dataclass
 class SegmentState:
-    """Coefficient vectors carried across segments, and the last crossing's diagonal.
+    """Coefficient vectors carried across segments, the memory's ``X`` and ``M``, and a diagonal.
 
-    Both are ``X``-coordinates, one entry per stored row: ``c = X (x_c - x)``
-    for the accumulated path point and ``p = X d_hat`` for the still-moving
-    direction (``c`` starts at zero, ``p`` at ``X d``).  ``diag`` is
-    ``<e_b, H[e_b]> = theta - w_b^T M w_b`` for the last ``b`` crossed.
+    Both vectors are ``X``-coordinates, one entry per stored row:
+    ``c = X (x_c - x)`` for the accumulated path point and ``p = X d_hat`` for
+    the still-moving direction (``c`` starts at zero, ``p`` at ``X d``).
+    ``diag`` is ``<e_b, H[e_b]> = theta - w_b^T M w_b`` for the last ``b`` crossed.
     """
 
     c: np.ndarray
     p: np.ndarray
+    rows: np.ndarray
+    middle: np.ndarray
     diag: float = 0.0
 
 
 def surrogate_init(
-    mem: LbfgsMemory, geom: Geometry, p: ProductPoint, d: ProductTangent
+    mem: LbfgsMemory, geom: Geometry, p: ProductPoint, d: ProductTangent, xd=None
 ) -> SegmentState:
-    """Start-of-path coefficient vectors: ``c = 0`` and ``p = X d``."""
-    p_coef = mem.coefficients(d.data)
-    return SegmentState(c=np.zeros_like(p_coef), p=p_coef)
+    """Start-of-path coefficient vectors: ``c = 0`` and ``p = X d``, a copy of ``xd`` if given."""
+    p_coef = mem.coefficients(d.data) if xd is None else xd.copy()
+    return SegmentState(np.zeros(p_coef.shape), p_coef, *mem.rows_and_middle(d.data.size))
 
 
 def segment_values(
@@ -166,8 +174,8 @@ def segment_values(
     the column ``w_b = X[:, b]`` and one product ``M w_b``.
     """
     state.c += dt * state.p
-    w_b = mem.basis_coefficients(b)
-    m_b = mem.apply_middle(w_b)
+    w_b = state.rows[:, b]
+    m_b = w_b @ state.middle
     theta = mem.theta
     v1 = theta * t * d_b - float(m_b @ state.c)
     v2 = theta * d_b - float(m_b @ state.p)
@@ -179,6 +187,7 @@ def segment_values(
 def generalized_cauchy_direction(
     geom: Geometry, p: ProductPoint, grad: ProductTangent, d: ProductTangent,
     mem: LbfgsMemory, t_manifold_max: float | None = None, hd: ProductTangent | None = None,
+    xd: np.ndarray | None = None,
 ) -> GcdOutcome:
     """First local minimizer of the model along the projected path of ``d``.
 
@@ -191,7 +200,7 @@ def generalized_cauchy_direction(
     sentinel, in multiples of ``d``; by default the manifold part of the
     path stops at length ``geom.max_stepsize(p)``.  ``hd`` is ``H[d]``, if
     known, or any vector equal to it where ``d`` is nonzero: the initial
-    curvature is then ``<d, hd>``, not read from ``M``.
+    curvature is then ``<d, hd>``, not read from ``M``.  ``xd`` is ``X d``, if known.
     """
     if t_manifold_max is None:
         d_m = d.data[geom.box.n :]  # the raveled manifold part
@@ -203,7 +212,7 @@ def generalized_cauchy_direction(
 
     f1 = geom.inner(p, grad, d)
     if hd is None:
-        qs = surrogate_init(mem, geom, p, d)
+        qs = surrogate_init(mem, geom, p, d, xd)
         f2 = mem.theta * float(d.data @ d.data) - mem.bilinear(qs.p, qs.p)  # <d, H[d]>
     else:
         qs, f2 = None, float(d.data @ hd.data)
@@ -211,7 +220,8 @@ def generalized_cauchy_direction(
         return GcdOutcome(geom.zero_tangent(p), GcdStatus.NOT_FOUND)
     dt_min = -f1 / f2
 
-    first = np.inf if bps is None else float(bps.times.min(where=bps.times > 0.0, initial=np.inf))
+    low = np.inf if bps is None else float(bps.times.min())
+    first = low if low > 0.0 else float(bps.times.min(where=bps.times > 0.0, initial=np.inf))
     t_old, t, walk = 0.0, min(float(t_manifold_max), first), ()
     if dt_min > t and first < t_manifold_max:  # the minimizer passes a box breakpoint
         walk = bps.walk()  # ends with the sentinel, so the loop below leaves by a break
@@ -227,7 +237,7 @@ def generalized_cauchy_direction(
             dt_min = dt
             break
         if qs is None:
-            qs = surrogate_init(mem, geom, p, d)
+            qs = surrogate_init(mem, geom, p, d, xd)
         d_b = float(d_eu[b])
         g_b = float(g_eu[b])
         v1, v2 = segment_values(qs, mem, t, dt, b, d_b)
@@ -244,26 +254,33 @@ def generalized_cauchy_direction(
         return GcdOutcome(geom.zero_tangent(p), GcdStatus.NOT_FOUND)
 
     direction = t_star * d
-    if bps is not None:
-        _clamp_into_box(bounds, x, d_eu, direction.euclidean, (bps.times < t).nonzero()[0])
+    lim = t_star * (1.0 + NUDGE_BAND)
+    if low <= lim:  # the times below t were passed, and no time above lim can leave the box
+        near = (bps.times <= lim).nonzero()[0]
+        _clamp_into_box(bounds, x, d_eu, direction.euclidean, near[bps.times[near] < t], near)
     return GcdOutcome(direction, GcdStatus.FOUND)
 
 
 def _clamp_into_box(
-    bounds: BoxBounds, x: np.ndarray, d_eu: np.ndarray, eu: np.ndarray, passed: np.ndarray
+    bounds: BoxBounds, x: np.ndarray, d_eu: np.ndarray, eu: np.ndarray, passed: np.ndarray,
+    near: np.ndarray,
 ) -> None:
-    """Clamp the offset ``eu`` at ``passed`` to its bounds, then nudge it exactly into the box.
+    """Clamp ``eu`` at ``passed`` to the bound offsets, then nudge it at ``near``, a superset.
 
-    Rounding can leave ``x + eu`` an ulp outside; such entries move one ulp at a time.
+    Rounding can leave ``x + eu`` an ulp outside there, and nowhere else when
+    ``near`` holds the times up to ``t_* (1 + NUDGE_BAND)``; such entries move
+    one ulp per pass, and past ``MAX_NUDGES`` passes a ``RuntimeError`` names one.
     """
     if passed.size:
         facing = np.where(d_eu[passed] > 0, bounds.upper[passed], bounds.lower[passed])
         eu[passed] = facing - x[passed]
-    new = x + eu
     sides = ((bounds.upper, np.greater, -np.inf), (bounds.lower, np.less, np.inf))
     for bound, outside, toward in sides:
-        idx = outside(new, bound).nonzero()[0]
-        while idx.size:
-            eu[idx] = np.nextafter(eu[idx], toward)
-            new[idx] = x[idx] + eu[idx]
-            idx = idx[outside(new[idx], bound[idx])]
+        out, passes = near, 0
+        while (out := out[outside(x[out] + eu[out], bound[out])]).size:
+            if passes == MAX_NUDGES:
+                i = int(out[0])
+                raise RuntimeError(f"box coordinate {i} is {abs(x[i] + eu[i] - bound[i]):.3g} "
+                                   f"past its bound after {MAX_NUDGES} one-ulp nudges")
+            eu[out] = np.nextafter(eu[out], toward)
+            passes += 1

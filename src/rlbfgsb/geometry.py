@@ -83,11 +83,11 @@ class BoxBounds:
         object.__setattr__(self, "n", lower.shape[0])  # read on every geometry call
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        """Clip ``x`` componentwise into ``[lower, upper]``."""
+        """Clip ``x`` componentwise into ``[lower, upper]``, with the bits of ``np.clip``."""
         x = np.asarray(x, dtype=float)
         if x.shape != self.lower.shape:
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        return np.clip(x, self.lower, self.upper)
+        return np.minimum(np.maximum(x, self.lower), self.upper, out=np.empty(x.shape))
 
     def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
@@ -440,7 +440,7 @@ class Geometry:
         """Move from ``p`` along ``x``.
 
         The box part is the translation ``p + x``; callers guarantee
-        feasibility of the step, and the clip below only absorbs
+        feasibility of the step, and the clamp below only absorbs
         floating-point drift so iterates never leave the box.
         """
         self._check(p, x)

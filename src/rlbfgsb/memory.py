@@ -131,6 +131,7 @@ class LbfgsMemory:
         # lower part stays zero: every store keeps the block triangular.
         self._r_inv = np.zeros((self.capacity + 1, self.capacity + 1))
         self._r_inv_stale = False  # the Gram matrix changed since _r_inv was built
+        self.inverse_coefficients = np.zeros(0)  # X r for the last result r of apply_inverse
 
     @property
     def size(self) -> int:
@@ -358,19 +359,21 @@ class LbfgsMemory:
             return np.zeros(0)
         return self._live @ v
 
-    def basis_coefficients(self, b: int) -> np.ndarray:
-        """Column ``b`` of ``X``, the coefficients of the basis vector ``e_b`` (a view)."""
+    def basis_coefficients(self, b) -> np.ndarray:
+        """Column ``b`` of ``X``, the coefficients of ``e_b`` (a view), or the columns ``b``."""
         if not self._size:
-            return np.zeros(0)
+            return np.zeros((0,) + np.shape(b))
         return self._live[:, b]
 
-    def apply_middle(self, w: np.ndarray) -> np.ndarray:
-        """``M w`` for a coefficient vector, formed as ``w^T M`` (``M`` is symmetric)."""
-        return w @ self._current_middle()
+    def rows_and_middle(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """``X`` (a view) and ``M`` for a reader of many columns; ``width`` wide without pairs."""
+        if not self._size:
+            return np.zeros((0, width)), np.zeros((0, 0))
+        return self._live, self._current_middle()
 
     def bilinear(self, a: np.ndarray, b: np.ndarray) -> float:
-        """``a^T M b`` for two coefficient vectors."""
-        return float(self.apply_middle(a) @ b)
+        """``a^T M b`` for two coefficient vectors, formed as ``(a^T M) b``."""
+        return float(a @ self._current_middle() @ b)
 
     def pairing(
         self, geom: Geometry, p: ProductPoint, x: ProductTangent, y: ProductTangent
@@ -424,7 +427,11 @@ class LbfgsMemory:
         definite whenever ``H`` is, so the result descends on the face when
         ``x`` is the projected negative gradient.  On either face a singular
         system or a non-finite result raises :class:`SingularMiddleMatrix`,
-        and no warning.  The result wraps a new vector.
+        and no warning.  The result ``r`` wraps a new vector; ``X r`` is left in
+        :attr:`inverse_coefficients`, formed from the products above in ``O(mu^2)``:
+        ``gamma w + G c`` (``G = X X^T``, ``c = K w``) on a free face with a box
+        (without one, no breakpoint is walked and nothing reads it: None), and
+        ``(w + F z) / theta`` (``z`` the face solve) on a masked one.
         """
         q = x.data
         free = active is None or not len(active)
@@ -432,17 +439,18 @@ class LbfgsMemory:
             q = q.copy()
             q[active] = 0.0
         if not self._size:
+            self.inverse_coefficients = np.zeros(0)
             return geom.unpack((1.0 / self.theta) * q)
         rows, mu = self._live, self._size
         gram = self._gram[: 2 * mu, : 2 * mu]
         sy, yy = gram[0::2, 1::2], gram[1::2, 1::2]
+        w = rows @ q
         if free:
             gamma = float(sy[-1, -1] / yy[-1, -1])
             if self._r_inv_stale:
                 self._r_inv[:mu, :mu] = np.linalg.inv(np.where(self._upper[:mu, :mu], sy, 0.0))
                 self._r_inv_stale = False
             r_inv = self._r_inv[:mu, :mu]
-            w = rows @ q
             u = r_inv @ w[0::2]
             c = np.empty(2 * mu)
             c[0::2] = (sy.diagonal() * u + gamma * (yy @ u) - gamma * w[1::2]) @ r_inv
@@ -450,18 +458,24 @@ class LbfgsMemory:
             r = gamma * q + c @ rows
             if not np.isfinite(r).all():
                 raise SingularMiddleMatrix("free-face inverse is not finite; memory must be reset")
+            self.inverse_coefficients = gamma * w + c @ gram if geom.box.n else None
             return geom.unpack(r)
         upper = np.where(self._upper[:mu, :mu], sy, 0.0)
         cols = rows[:, active]
         system = cols @ cols.T
+        face = gram - system  # F = X_F X_F^T
         system[0::2, 1::2] -= upper
         system[1::2, 0::2] -= upper.T
         system[1::2, 1::2] -= yy + np.diag(self.theta * sy.diagonal())
         try:
-            r = (q + np.linalg.solve(system, rows @ q) @ rows) / self.theta
+            z = np.linalg.solve(system, w)
+            r = z @ rows
+            r += q
+            r /= self.theta
             if not np.isfinite(r).all():
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             raise SingularMiddleMatrix("face system is singular; memory must be reset") from None
         r[active] = 0.0
+        self.inverse_coefficients = (w + face @ z) / self.theta
         return geom.unpack(r)

@@ -151,18 +151,21 @@ def _cauchy_direction(state: SolverState, geom: Geometry, reset: bool):
     on the state's faces.  With ``reset`` ``q`` is used directly.  The search
     is handed ``q`` as ``H[d]`` after a reset and whenever the projection
     zeroes nothing: on a masked face ``H[d]`` equals ``q`` on the face, and
-    ``d`` is zero off it.  A singular face system raises
+    ``d`` is zero off it.  It is handed ``X d`` too, the inverse's ``X B q``
+    less the columns the projection zeroes.  A singular face system raises
     :class:`SingularMiddleMatrix`, as a singular middle matrix does in the search.
     """
-    p, d = state.point, state.steepest
-    hd = d  # H = I while the memory is empty
+    p, d, mem = state.point, state.steepest, state.memory
+    hd, xd = d, None  # H = I while the memory is empty
     if not reset:
-        d = state.memory.apply_inverse(geom, p, d, active=state.active)
+        d = mem.apply_inverse(geom, p, d, active=state.active)
+        xd = mem.inverse_coefficients
         out = geom.outward(state.faces, d)
         if out.size:
+            xd = xd - mem.basis_coefficients(out) @ d.euclidean[out]
             d.euclidean[out] = 0.0
             hd = None
-    return generalized_cauchy_direction(geom, p, state.grad, d, state.memory, hd=hd)
+    return generalized_cauchy_direction(geom, p, state.grad, d, mem, hd=hd, xd=xd)
 
 
 def step(state: SolverState, problem: Problem, options: SolverOptions) -> StepReport:

@@ -446,10 +446,14 @@ class TestManyCrossings:
 
 
 class TestCauchyCallCounts:
-    """Algorithm CP's cost: ``W d`` at most once per search, one ``M w_b`` per crossing."""
+    """Algorithm CP's cost: ``X d`` at most once per search and none when handed over.
+
+    ``X`` and ``M`` are read once per search, for one ``M w_b`` per crossing.
+    """
 
     COUNTED = (
-        "coefficients", "bilinear", "apply_middle", "basis_coefficients", "pairing", "basis_diag"
+        "coefficients", "bilinear", "rows_and_middle", "basis_coefficients", "pairing",
+        "basis_diag",
     )
 
     def test_one_middle_product_per_crossing(self, monkeypatch):
@@ -468,6 +472,7 @@ class TestCauchyCallCounts:
             out = generalized_cauchy_direction(*args, **kwargs)
             per_call.append({k: counts[k] - before[k] for k in counts})
             per_call[-1]["hd"] = kwargs.get("hd") is not None
+            per_call[-1]["xd"] = kwargs.get("xd") is not None
             return out
 
         for name in self.COUNTED:
@@ -484,13 +489,18 @@ class TestCauchyCallCounts:
         # both kinds of search occur, and some that are handed H[d] cross a bound
         assert 0 < sum(c["hd"] for c in per_call) < len(per_call)
         assert any(c["hd"] and c["crossings"] for c in per_call)
+        # every search but those after a reset is handed X d, some of them crossing
+        assert any(c["xd"] and c["crossings"] for c in per_call)
+        assert any(c["xd"] and not c["hd"] for c in per_call)
         for c in per_call:
             # without H[d], <d, H[d]> takes X d and bilinear's product up front;
-            # with it, X d waits for the first crossing and bilinear never runs
-            assert c["coefficients"] == (1 if not c["hd"] or c["crossings"] else 0)
+            # with it, X d waits for the first crossing and bilinear never runs;
+            # handed X d, the search forms none
+            used = not c["hd"] or c["crossings"]
+            assert c["coefficients"] == (1 if used and not c["xd"] else 0)
             assert c["bilinear"] == (0 if c["hd"] else 1)
-            assert c["basis_coefficients"] == c["crossings"]
-            assert c["apply_middle"] == c["crossings"] + c["bilinear"]
+            assert c["rows_and_middle"] == (1 if used else 0)
+            assert c["basis_coefficients"] == 0
         assert counts["pairing"] == 0
         assert counts["basis_diag"] == 0
 

@@ -7,10 +7,10 @@ come from at most four positive values over up to 400 coordinates, so tie
 groups are large and straddle the chunk edges of the walk.  Zeros, ``-0.0``,
 ``±inf``, NaN and negative values must never be walked.
 
-The breakpoint times and the final clamp into the box are computed with
-in-place operations and over the passed or overshooting coordinates only;
-they must give the same bits as the plain full-width expressions, kept
-below as oracles.
+The breakpoint times are two quotients, their maximum and an ``fmin``;
+the final clamp into the box runs over the passed coordinates and over the
+band of times just above the stopping time only.  Both must give the same
+bits as the plain full-width expressions, kept below as oracles.
 
 The search walks only when its minimizer passes the first breakpoint ahead
 of the sentinel; it must return the bits of a search that always walks.
@@ -20,14 +20,14 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import rlbfgsb as rb
 from rlbfgsb import BoxBounds, Geometry, GcdStatus, LbfgsMemory
 from rlbfgsb.gcd import (
-    BreakpointSet, _clamp_into_box, compute_breakpoints, generalized_cauchy_direction,
-    segment_values, surrogate_init,
+    MAX_NUDGES, NUDGE_BAND, BreakpointSet, _clamp_into_box, compute_breakpoints,
+    generalized_cauchy_direction, segment_values, surrogate_init,
 )
 
 NEVER_WALKED = [0.0, -0.0, np.inf, -np.inf, np.nan, -1.0]
@@ -127,8 +127,15 @@ def box_rays(draw):
     return BoxBounds(np.array(lower), np.array(upper)), np.array(x), np.array(d)
 
 
+def ray(lower, upper, x, d):
+    return BoxBounds(np.array(lower), np.array(upper)), np.array(x), np.array(d)
+
+
 @settings(max_examples=300)
 @given(box_rays())
+@example(ray([0.0, -1.0, 2.0], [1.0, 0.0, 2.0], [0.0, 0.0, 2.0], [0.0, -0.0, 0.0]))  # on a bound
+@example(ray([0.0, -1.0, 2.0], [1.0, 0.0, 2.0], [0.0, 0.0, 2.0], [-0.0, 0.0, -0.0]))
+@example(ray([-np.inf, 0.0], [0.5, np.inf], [0.25, 0.5], [-5e-324, 5e-324]))  # infinite facing
 def test_breakpoint_times_bitwise(case):
     bounds, x, d = case
     with np.errstate(over="ignore"):  # a finite offset over a subnormal component
@@ -151,31 +158,57 @@ def test_clamp_matches_full_width_loops(case, j, where):
     with np.errstate(over="ignore", invalid="ignore"):
         eu = t_star * d
     want = full_width_clamp(bounds, x, d, eu.copy(), times, t)
-    _clamp_into_box(bounds, x, d, eu, (times < t).nonzero()[0])
+    restricted_clamp(bounds, x, d, eu, times, t, t_star)
     assert np.array_equal(bits(eu), bits(want))
 
 
+def restricted_clamp(bounds, x, d, eu, times, t, t_star):
+    """The search's clamp: passed below ``t``, nudged up to the band above ``t_star``.
+
+    The search stops at or after every time it passed, so there the band
+    holds the passed coordinates; a ``t_star`` below them adds them to it.
+    """
+    passed = (times < t).nonzero()[0]
+    near = np.union1d(passed, (times <= t_star * (1.0 + NUDGE_BAND)).nonzero()[0])
+    _clamp_into_box(bounds, x, d, eu, passed, near)
+
+
 def test_clamp_nudges_match_full_width_loops():
-    # Stop exactly at one coordinate's breakpoint, on bounds at mixed scales,
-    # so ``x + t d`` overshoots by an ulp often enough to drive both loops.
-    rng = np.random.default_rng(12)
-    down = up = 0
-    for _ in range(400):
-        n = 40
-        scale = 10.0 ** rng.integers(-3, 4, n)
-        bounds = BoxBounds(-scale * rng.random(n), scale * rng.random(n))
-        x = bounds.lower + (bounds.upper - bounds.lower) * rng.random(n)
-        d = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 3, n)
-        times = compute_breakpoints(bounds, x, d).times
-        t = np.sort(times)[rng.integers(0, n)]
-        eu = t * d
-        want = full_width_clamp(bounds, x, d, eu.copy(), times, t)
-        plain = np.where(times < t, np.where(d > 0, bounds.upper, bounds.lower) - x, eu)
-        down += int(np.any(want < plain))
-        up += int(np.any(want > plain))
-        _clamp_into_box(bounds, x, d, eu, (times < t).nonzero()[0])
-        assert np.array_equal(bits(eu), bits(want))
-    assert down >= 20 and up >= 20
+    # Stop exactly at one coordinate's breakpoint or an ulp before it, on
+    # bounds at mixed scales, so ``x + t d`` overshoots by an ulp often
+    # enough to drive both loops; an ulp before, the overshooting
+    # coordinate has not been passed, and only the band finds it.
+    for below in (False, True):
+        rng = np.random.default_rng(12)
+        down = up = 0
+        for _ in range(400):
+            n = 40
+            scale = 10.0 ** rng.integers(-3, 4, n)
+            bounds = BoxBounds(-scale * rng.random(n), scale * rng.random(n))
+            x = bounds.lower + (bounds.upper - bounds.lower) * rng.random(n)
+            d = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 3, n)
+            times = compute_breakpoints(bounds, x, d).times
+            t = np.sort(times)[rng.integers(0, n)]
+            t_star = np.nextafter(t, 0.0) if below else t
+            eu = t_star * d
+            want = full_width_clamp(bounds, x, d, eu.copy(), times, t)
+            plain = np.where(times < t, np.where(d > 0, bounds.upper, bounds.lower) - x, eu)
+            down += int(np.any(want < plain))
+            up += int(np.any(want > plain))
+            restricted_clamp(bounds, x, d, eu, times, t, t_star)
+            assert np.array_equal(bits(eu), bits(want))
+        assert down >= 20 and up >= 20
+
+
+def test_clamp_raises_past_the_nudge_cap():
+    # A stopping time far past a bound the search did not walk would need
+    # about 2^51 one-ulp nudges; the clamp gives up after MAX_NUDGES.
+    bounds, x, d = ray([0.0], [1.0], [0.0], [1.0])
+    times = compute_breakpoints(bounds, x, d).times
+    eu = np.array([1.5])
+    message = f"coordinate 0 is 0.5 past its bound after {MAX_NUDGES} one-ulp"
+    with pytest.raises(RuntimeError, match=message):
+        restricted_clamp(bounds, x, d, eu, times, 1.0, 1.5)
 
 
 def walked_cauchy_direction(geom, p, grad, d, mem, t_max=None, hd=None):
@@ -222,7 +255,7 @@ def walked_cauchy_direction(geom, p, grad, d, mem, t_max=None, hd=None):
         return None
     direction = t_star * d
     if bps is not None:
-        _clamp_into_box(bounds, x, d_eu, direction.euclidean, (bps.times < t).nonzero()[0])
+        full_width_clamp(bounds, x, d_eu, direction.euclidean, bps.times, t)
     return direction
 
 
@@ -320,3 +353,56 @@ def test_search_walks_only_past_the_first_breakpoint(case):
         assert not walks
     elif sentinel in ("last", "inf"):
         assert walks == [1]
+
+
+def test_search_nudges_the_coordinates_beyond_its_stop():
+    # H = I and d = -grad put the minimizer at t = 1.  The search stops at a
+    # sentinel on the first breakpoint time, walking nothing, or on a later
+    # one; at the minimizer just short of where a coordinate b meets its
+    # bound (the bound an ulp inside t_* d_b, found by a first search
+    # without it); or, in one dimension with the minimizer at twice the
+    # breakpoint time, at the crossing that leaves f'' = 0, whose own time it
+    # does not pass.  The coordinates it did not pass can still land an ulp
+    # outside the box there; it must nudge them as the full-width loops do:
+    # those at the first time, those from the breakpoint the walk stopped at
+    # on, and the ties walked before it (the one-dimensional case twice over).
+    rng = np.random.default_rng(5)
+    nudged = dict.fromkeys(["first", "sentinel", "minimizer", "last"], 0)
+    clamp = rb.gcd._clamp_into_box
+
+    def spy(bounds, x, d_eu, eu, passed, near):
+        before = eu.copy()
+        clamp(bounds, x, d_eu, eu, passed, near)
+        rest = np.setdiff1d(np.asarray(near, dtype=int), passed)
+        nudged[stop] += int(np.any(eu[rest] != before[rest]))
+
+    def search(lower, upper, x, d, t_max, slope=1.0):
+        geom, p, dd = Geometry(BoxBounds(lower, upper)), rb.ProductPoint(x), rb.ProductTangent(d)
+        grad = -slope * dd
+        out = generalized_cauchy_direction(geom, p, grad, dd, LbfgsMemory(), t_max, hd=dd)
+        want = walked_cauchy_direction(geom, p, grad, dd, LbfgsMemory(), t_max, hd=dd)
+        assert np.array_equal(bits(out.direction.data), bits(want.data))
+        return out.direction.euclidean
+
+    for _ in range(500):
+        for stop in nudged:
+            n = 1 if stop == "last" else 40
+            scale = 10.0 ** rng.integers(-3, 4, n)
+            lower, upper = -scale * rng.random(n), scale * rng.random(n)
+            d = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 3, n)
+            x = lower + (upper - lower) * rng.random(n)
+            if stop == "last":
+                lower, upper, d, x = (np.tile(v, 2) for v in (lower, upper, d, x))
+            times = np.sort(compute_breakpoints(BoxBounds(lower, upper), x, d).times)
+            k = rng.integers(1, max(2, np.searchsorted(times, 1.0))) if n > 1 else 0
+            t_max = {"first": times[0], "sentinel": times[k]}.get(stop, np.inf)
+            slope = 2.0 * times[0] if stop == "last" else 1.0
+            if stop == "minimizer":
+                b = rng.integers(0, n)
+                side, x[b] = (upper if d[b] > 0 else lower), 0.0
+                side[b] = np.copysign(np.inf, d[b])
+                side[b] = np.nextafter(search(lower, upper, x, d, t_max)[b], 0.0)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rb.gcd, "_clamp_into_box", spy)
+                search(lower, upper, x, d, t_max, slope)
+    assert min(nudged.values()) >= 5, nudged

@@ -41,6 +41,19 @@ class TestBoxBounds:
         assert_allclose(b.clamp(np.array([0.5])), [0.5])
         assert_allclose(b.clamp(np.array([5.0])), [1.0])
 
+    def test_clamp_has_the_bits_of_clip(self):
+        # NaN passes through with its sign, and a signed zero at or across a
+        # zero bound keeps the sign np.clip gives it, at any array length.
+        special = [np.nan, -np.nan, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf]
+        grid = np.array(np.meshgrid(special, [-0.0, 0.0, -1.0, -np.inf], [-0.0, 0.0, 1.0, np.inf]))
+        x, lower, upper = grid.reshape(3, -1)
+        keep = lower <= upper
+        for reps in (1, 9):
+            b = BoxBounds(np.tile(lower[keep], reps), np.tile(upper[keep], reps))
+            v = np.tile(x[keep], reps)
+            want = np.clip(v, b.lower, b.upper)
+            assert np.array_equal(b.clamp(v).view(np.uint64), want.view(np.uint64))
+
     def test_violation(self):
         b = BoxBounds(np.array([0.0, -np.inf]), np.array([1.0, np.inf]))
         assert b.violation(np.array([0.5, 100.0])) == 0.0

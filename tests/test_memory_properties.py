@@ -98,15 +98,13 @@ def test_all_free_mask_equals_no_mask(case):
     np.testing.assert_array_equal(masked.data, full.data)
 
 
-def free_face_formula_inverse(mem, x):
-    """``gamma x + X^T K X x`` by Theorem 2.2 of Byrd, Nocedal and Schnabel (1994).
+def free_face_kernel(mem):
+    """``(X, G, gamma, K)`` of Theorem 2.2 of Byrd, Nocedal and Schnabel (1994).
 
     Reads ``R = triu(S Y^T)``, ``D`` and ``Y Y^T`` off the cached Gram
-    matrix, with ``gamma`` the newest pair's ``<s, y> / <y, y>``, and copies
-    the rows from the pairs.
+    matrix ``G``, with ``gamma`` the newest pair's ``<s, y> / <y, y>``, and
+    copies the rows from the pairs.
     """
-    if not mem.size:
-        return (1.0 / mem.theta) * x
     rows = np.array([row for pair in zip(mem.S, mem.Y) for row in pair])  # s_0, y_0, s_1, ...
     gram = mem._gram[: rows.shape[0], : rows.shape[0]]
     sy, yy = gram[0::2, 1::2], gram[1::2, 1::2]
@@ -116,6 +114,14 @@ def free_face_formula_inverse(mem, x):
     kernel[0::2, 0::2] = r_inv.T @ (np.diag(sy.diagonal()) + gamma * yy) @ r_inv
     kernel[0::2, 1::2] = -gamma * r_inv.T
     kernel[1::2, 0::2] = -gamma * r_inv
+    return rows, gram, gamma, kernel
+
+
+def free_face_formula_inverse(mem, x):
+    """``gamma x + X^T K X x`` with the assembled kernel of :func:`free_face_kernel`."""
+    if not mem.size:
+        return (1.0 / mem.theta) * x
+    rows, _, gamma, kernel = free_face_kernel(mem)
     return gamma * x + (kernel @ (rows @ x)) @ rows
 
 
@@ -560,9 +566,9 @@ def test_curvature_handed_to_the_cauchy_search_matches_the_middle_matrix(case, s
         inverses.append(out.copy())  # the solver projects out in place
         return out
 
-    def search(geom, p, grad, d, mem, *rest, hd=None):
+    def search(geom, p, grad, d, mem, *rest, hd=None, xd=None):
         seen.append((d, hd))
-        return generalized_cauchy_direction(geom, p, grad, d, mem, *rest, hd=hd)
+        return generalized_cauchy_direction(geom, p, grad, d, mem, *rest, hd=hd, xd=xd)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rb.solver, "generalized_cauchy_direction", search)
@@ -585,6 +591,61 @@ def test_curvature_handed_to_the_cauchy_search_matches_the_middle_matrix(case, s
                 want = mem.pairing(geom, q, d, d)
                 size = mem.theta * float(d.data @ d.data) + abs(want)
                 assert abs(float(d.data @ hd.data) - want) <= 1e-9 * size
+
+
+def face_solve(rows, gram, theta, active, w):
+    """``z = (theta N - F)^{-1} w``, the system assembled from ``rows`` and ``G`` as in the memory."""
+    sy, upper = gram[0::2, 1::2], np.triu(gram[0::2, 1::2])
+    cols = rows[:, active]
+    system = cols @ cols.T
+    system[0::2, 1::2] -= upper
+    system[1::2, 0::2] -= upper.T
+    system[1::2, 1::2] -= gram[1::2, 1::2] + np.diag(theta * sy.diagonal())
+    return np.linalg.solve(system, w)
+
+
+@SETTINGS
+@given(cases())
+def test_coefficients_handed_to_the_cauchy_search_match_the_rows(case):
+    # The search is handed X d from the inverse's own products, less the
+    # columns the cone projection zeroes: gamma w + G c on a free face and
+    # (w + (G - C) z) / theta on a masked one, with w = X q, c = K w, z the
+    # face solve and C = X_A X_A^T.  It is X d to roundoff relative to the
+    # terms it sums.
+    geom, p, mem, rng, mask = case
+    lower, upper = geom.box.lower, geom.box.upper
+    p.euclidean = np.where(~mask & np.isfinite(lower), lower, p.euclidean)
+    p.euclidean = np.where(~mask & ~np.isfinite(lower) & np.isfinite(upper), upper, p.euclidean)
+    state = SolverState(p, geom.random_tangent(p, rng), 0.0, mem).locate(geom)
+    seen = []
+
+    def search(geom, p, grad, d, mem, *rest, hd=None, xd=None):
+        seen.append((d, hd, xd))
+        return generalized_cauchy_direction(geom, p, grad, d, mem, *rest, hd=hd, xd=xd)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rb.solver, "generalized_cauchy_direction", search)
+        try:
+            _cauchy_direction(state, geom, reset=False)
+        except rb.SingularMiddleMatrix:
+            pass
+    assume(seen)  # else the face system was singular
+    d, hd, xd = seen[0]
+    if not mem.size:
+        assert xd.shape == (0,)
+        return
+    if not geom.box.n:  # nothing is walked, so nothing would read X d
+        assert xd is None
+        return
+    rows, gram, gamma, kernel = free_face_kernel(mem)
+    w = rows @ state.steepest.data
+    if state.active.size:
+        z = face_solve(rows, gram, mem.theta, state.active, w)
+        scale = (np.linalg.norm(w) + np.linalg.norm(gram, 2) * np.linalg.norm(z)) / mem.theta
+    else:
+        scale = gamma * np.linalg.norm(w) + np.linalg.norm(gram, 2) * np.linalg.norm(kernel @ w)
+    event(f"masked {state.active.size > 0}, projected {hd is None}")
+    assert np.linalg.norm(xd - rows @ d.data) <= 1e-12 * scale
 
 
 @st.composite

@@ -317,9 +317,9 @@ class TestMemoryBookkeeping:
         for prob, p0, most in ((bss, bss.initial_point, 0.3), (*random_rayleigh(30, 0), 0)):
             builds, crossings, searches = [], [], []
 
-            def search(geom, p, grad, d, mem, *rest, hd=None):
+            def search(geom, p, grad, d, mem, *rest, hd=None, xd=None):
                 before = len(builds), len(crossings)
-                out = real(geom, p, grad, d, mem, *rest, hd=hd)
+                out = real(geom, p, grad, d, mem, *rest, hd=hd, xd=xd)
                 crossed = len(crossings) > before[1]
                 searches.append((hd is not None, crossed, len(builds) - before[0]))
                 return out

@@ -250,9 +250,9 @@ def test_faces_give_the_bits_of_the_full_width_projections(case):
     seen = []
     search = rb.solver.generalized_cauchy_direction
 
-    def spy(geom, p, grad, d, mem, *rest, hd=None):
+    def spy(geom, p, grad, d, mem, *rest, hd=None, xd=None):
         seen.append((d.copy(), hd))
-        return search(geom, p, grad, d, mem, *rest, hd=hd)
+        return search(geom, p, grad, d, mem, *rest, hd=hd, xd=xd)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rb.solver, "generalized_cauchy_direction", spy)
